@@ -5,6 +5,11 @@ compression (the full prefix bytes are stored on the node).  Keys that are
 prefixes of other keys are held in the inner node's `value_leaf` slot, which
 sorts before all children, so whole-tree iteration is plain byte order.
 
+The shape is canonical: an inner node exists exactly where keys branch, and
+its kind is always the smallest one that holds its children.  That is what
+lets `snapshot_load` build the tree bottom-up from sorted entries and end
+with the same tree that inserting them one by one would give.
+
 Index entries carry a version LSN; `put` replaces an entry only when the new
 version is strictly higher, which makes recovery replay idempotent.
 """
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import BinaryIO, Iterator, NamedTuple
 
 from .errors import SnapshotCorruptError
@@ -29,6 +34,10 @@ _SNAP_VERSION = 1
 _SNAP_HEADER = struct.Struct("<IB")
 _SNAP_ENTRY = struct.Struct("<IIQQ")    # key_len, segment_id, offset, version_lsn
 _SNAP_TRAILER = struct.Struct("<QQIQI")  # entry_count, last_lsn, cursor_seg, cursor_off, crc
+_SNAP_WRITE_CHUNK = 4096                 # entries per sink.write
+
+_from_bytes = int.from_bytes
+_new_tuple = tuple.__new__
 
 
 class IndexEntry(NamedTuple):
@@ -47,12 +56,26 @@ class _Leaf:
         self.version_lsn = version_lsn
 
     def entry(self) -> IndexEntry:
-        return IndexEntry(self.key, LogPosition(self.segment_id, self.offset), self.version_lsn)
+        # tuple.__new__ skips the Python-level __new__ of both named tuples,
+        # which costs more than the rest of a lookup
+        return _new_tuple(IndexEntry, (
+            self.key, _new_tuple(LogPosition, (self.segment_id, self.offset)), self.version_lsn))
+
+
+# Every inner kind answers the same calls, so a descent dispatches on the
+# node's own class:
+#   find(byte)          child or None
+#   set_child(byte, c)  insert or replace; returns the node, or a bigger kind
+#   remove_child(byte)  returns the node, or a smaller kind
+#   pairs()             [(byte, child)] in byte order
+#   child_list()        children in byte order
+#   children_after(b)   children with a byte > b, in byte order
 
 
 class _Node4:
     __slots__ = ("prefix", "value_leaf", "keys", "children")
     kind = NODE4
+    capacity = 4
 
     def __init__(self, prefix: bytes):
         self.prefix = prefix
@@ -60,10 +83,51 @@ class _Node4:
         self.keys: list[int] = []
         self.children: list[object] = []
 
+    @property
+    def count(self) -> int:
+        return len(self.keys)
+
+    def find(self, byte: int):
+        keys = self.keys
+        i = bisect_left(keys, byte)
+        if i < len(keys) and keys[i] == byte:
+            return self.children[i]
+        return None
+
+    def set_child(self, byte: int, child):
+        keys = self.keys
+        i = bisect_left(keys, byte)
+        if i < len(keys) and keys[i] == byte:
+            self.children[i] = child
+            return self
+        if len(keys) == self.capacity:
+            return _resized(self, self.pairs(), (byte, child))
+        keys.insert(i, byte)
+        self.children.insert(i, child)
+        return self
+
+    def remove_child(self, byte: int):
+        i = bisect_left(self.keys, byte)
+        del self.keys[i]
+        del self.children[i]
+        if self.kind == NODE16 and len(self.keys) <= NODE4:
+            return _resized(self, self.pairs())
+        return self
+
+    def pairs(self) -> list[tuple[int, object]]:
+        return list(zip(self.keys, self.children))
+
+    def child_list(self) -> list[object]:
+        return self.children
+
+    def children_after(self, byte: int) -> list[object]:
+        return self.children[bisect_right(self.keys, byte):]
+
 
 class _Node16(_Node4):
     __slots__ = ()
     kind = NODE16
+    capacity = 16
 
 
 class _Node48:
@@ -78,6 +142,50 @@ class _Node48:
         self.free: list[int] = []
         self.count = 0
 
+    def find(self, byte: int):
+        slot = self.child_index[byte]
+        return self.children[slot] if slot >= 0 else None
+
+    def set_child(self, byte: int, child):
+        slot = self.child_index[byte]
+        if slot >= 0:
+            self.children[slot] = child
+            return self
+        if self.count == NODE48:
+            return _resized(self, self.pairs(), (byte, child))
+        if self.free:
+            slot = self.free.pop()
+            self.children[slot] = child
+        else:
+            slot = len(self.children)
+            self.children.append(child)
+        self.child_index[byte] = slot
+        self.count += 1
+        return self
+
+    def remove_child(self, byte: int):
+        slot = self.child_index[byte]
+        self.child_index[byte] = -1
+        self.children[slot] = None
+        self.free.append(slot)
+        self.count -= 1
+        if self.count <= NODE16:
+            return _resized(self, self.pairs())
+        return self
+
+    def pairs(self) -> list[tuple[int, object]]:
+        children = self.children
+        return [(byte, children[slot]) for byte, slot in enumerate(self.child_index)
+                if slot >= 0]
+
+    def child_list(self) -> list[object]:
+        children = self.children
+        return [children[slot] for slot in self.child_index if slot >= 0]
+
+    def children_after(self, byte: int) -> list[object]:
+        children = self.children
+        return [children[slot] for slot in self.child_index[byte + 1:] if slot >= 0]
+
 
 class _Node256:
     __slots__ = ("prefix", "value_leaf", "children", "count")
@@ -89,139 +197,72 @@ class _Node256:
         self.children: list[object | None] = [None] * 256
         self.count = 0
 
+    def find(self, byte: int):
+        return self.children[byte]
 
-def _child_count(node) -> int:
-    if isinstance(node, _Node4):
-        return len(node.keys)
-    return node.count
+    def set_child(self, byte: int, child):
+        if self.children[byte] is None:
+            self.count += 1
+        self.children[byte] = child
+        return self
+
+    def remove_child(self, byte: int):
+        self.children[byte] = None
+        self.count -= 1
+        if self.count <= NODE48:
+            return _resized(self, self.pairs())
+        return self
+
+    def pairs(self) -> list[tuple[int, object]]:
+        return [(byte, child) for byte, child in enumerate(self.children)
+                if child is not None]
+
+    def child_list(self) -> list[object]:
+        return [child for child in self.children if child is not None]
+
+    def children_after(self, byte: int) -> list[object]:
+        return [child for child in self.children[byte + 1:] if child is not None]
 
 
-def _get_child(node, byte: int):
-    if isinstance(node, _Node4):
-        i = bisect_left(node.keys, byte)
-        if i < len(node.keys) and node.keys[i] == byte:
-            return node.children[i]
-        return None
-    if isinstance(node, _Node48):
-        slot = node.child_index[byte]
-        return node.children[slot] if slot >= 0 else None
-    return node.children[byte]
-
-
-def _set_child(node, byte: int, child):
-    """Insert or replace; returns the node (possibly grown to a bigger kind)."""
-    if isinstance(node, _Node4):
-        i = bisect_left(node.keys, byte)
-        if i < len(node.keys) and node.keys[i] == byte:
-            node.children[i] = child
-            return node
-        cap = 4 if node.kind == NODE4 else 16
-        if len(node.keys) < cap:
-            node.keys.insert(i, byte)
-            node.children.insert(i, child)
-            return node
-        bigger = _grow(node)
-        return _set_child(bigger, byte, child)
-    if isinstance(node, _Node48):
-        slot = node.child_index[byte]
-        if slot >= 0:
-            node.children[slot] = child
-            return node
-        if node.count < 48:
-            if node.free:
-                slot = node.free.pop()
-                node.children[slot] = child
-            else:
-                slot = len(node.children)
-                node.children.append(child)
-            node.child_index[byte] = slot
-            node.count += 1
-            return node
-        bigger = _grow(node)
-        return _set_child(bigger, byte, child)
-    if node.children[byte] is None:
-        node.count += 1
-    node.children[byte] = child
+def _make_node(prefix: bytes, value_leaf, keys: list[int], children: list[object]):
+    """The smallest node kind holding `children` under ascending `keys`."""
+    n = len(keys)
+    if n <= NODE16:
+        node = _Node4(prefix) if n <= NODE4 else _Node16(prefix)
+        node.keys = keys
+        node.children = children
+    elif n <= NODE48:
+        node = _Node48(prefix)
+        index = node.child_index
+        for slot, byte in enumerate(keys):
+            index[byte] = slot
+        node.children = children
+        node.count = n
+    else:
+        node = _Node256(prefix)
+        slots = node.children
+        for byte, child in zip(keys, children):
+            slots[byte] = child
+        node.count = n
+    node.value_leaf = value_leaf
     return node
 
 
-def _remove_child(node, byte: int):
-    """Remove the child; returns the node (possibly shrunk to a smaller kind)."""
-    if isinstance(node, _Node4):
-        i = bisect_left(node.keys, byte)
-        node.keys.pop(i)
-        node.children.pop(i)
-        if node.kind == NODE16 and len(node.keys) <= 4:
-            return _shrink(node)
-        return node
-    if isinstance(node, _Node48):
-        slot = node.child_index[byte]
-        node.child_index[byte] = -1
-        node.children[slot] = None
-        node.free.append(slot)
-        node.count -= 1
-        if node.count <= 16:
-            return _shrink(node)
-        return node
-    node.children[byte] = None
-    node.count -= 1
-    if node.count <= 48:
-        return _shrink(node)
-    return node
-
-
-def _items(node) -> Iterator[tuple[int, object]]:
-    """Children in ascending byte order."""
-    if isinstance(node, _Node4):
-        yield from zip(node.keys, node.children)
-    elif isinstance(node, _Node48):
-        for byte in range(256):
-            slot = node.child_index[byte]
-            if slot >= 0:
-                yield byte, node.children[slot]
-    else:
-        for byte in range(256):
-            child = node.children[byte]
-            if child is not None:
-                yield byte, child
-
-
-def _grow(node):
-    if node.kind == NODE4:
-        new = _Node16(node.prefix)
-        new.value_leaf = node.value_leaf
-        new.keys = node.keys
-        new.children = node.children
-        return new
-    if node.kind == NODE16:
-        new = _Node48(node.prefix)
-    else:
-        new = _Node256(node.prefix)
-    new.value_leaf = node.value_leaf
-    for byte, child in _items(node):
-        _set_child(new, byte, child)
-    return new
-
-
-def _shrink(node):
-    if node.kind == NODE16:
-        new = _Node4(node.prefix)
-    elif node.kind == NODE48:
-        new = _Node16(node.prefix)
-    else:
-        new = _Node48(node.prefix)
-    new.value_leaf = node.value_leaf
-    for byte, child in _items(node):
-        _set_child(new, byte, child)
-    return new
+def _resized(node, pairs: list[tuple[int, object]], extra: tuple[int, object] | None = None):
+    """`node`'s prefix and value leaf over `pairs` (plus `extra`), in the
+    smallest kind that holds them."""
+    if extra is not None:
+        insort(pairs, extra)
+    return _make_node(node.prefix, node.value_leaf,
+                      [b for b, _ in pairs], [c for _, c in pairs])
 
 
 def _common_prefix_len(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+    """Length of the common prefix: the first differing byte, found as the
+    highest set bit of the big-endian XOR of both strings."""
+    n = len(a) if len(a) < len(b) else len(b)
+    x = _from_bytes(a[:n], "big") ^ _from_bytes(b[:n], "big")
+    return n - (x.bit_length() + 7) // 8
 
 
 class AdaptiveRadixTree:
@@ -234,21 +275,8 @@ class AdaptiveRadixTree:
     # -- point operations -------------------------------------------------
 
     def get(self, key: bytes) -> IndexEntry | None:
-        node = self.root
-        depth = 0
-        while node is not None:
-            if isinstance(node, _Leaf):
-                return node.entry() if node.key == key else None
-            p = node.prefix
-            if p and key[depth:depth + len(p)] != p:
-                return None
-            depth += len(p)
-            if depth == len(key):
-                leaf = node.value_leaf
-                return leaf.entry() if leaf is not None else None
-            node = _get_child(node, key[depth])
-            depth += 1
-        return None
+        leaf = self._find_leaf(key)
+        return leaf.entry() if leaf is not None else None
 
     def put(self, key: bytes, position: LogPosition, version_lsn: int) -> IndexEntry | None:
         """Insert, or replace iff version_lsn is strictly newer.
@@ -258,13 +286,55 @@ class AdaptiveRadixTree:
         """
         if not key:
             raise ValueError("empty key")
-        if self.root is None:
+        node = self.root
+        if node is None:
             self.root = _Leaf(key, position.segment_id, position.offset, version_lsn)
-            self.size += 1
+            self.size = 1
             return None
-        result: list[IndexEntry | None] = [None]
-        self.root = self._insert(self.root, key, 0, position, version_lsn, result, False)
-        return result[0]
+        parent = None       # inner node that holds `node` under `parent_byte`
+        parent_byte = 0
+        depth = 0
+        while True:
+            if node.__class__ is _Leaf:
+                if node.key == key:
+                    return _update_leaf(node, position, version_lsn)
+                replacement = _split_leaf(
+                    node, _Leaf(key, position.segment_id, position.offset, version_lsn), depth)
+                break
+            prefix = node.prefix
+            if prefix:
+                end = depth + len(prefix)
+                part = key[depth:end]
+                if part != prefix:
+                    replacement = _split_node(
+                        node, _Leaf(key, position.segment_id, position.offset, version_lsn),
+                        depth, _common_prefix_len(part, prefix))
+                    break
+                depth = end
+            if depth == len(key):
+                leaf = node.value_leaf
+                if leaf is not None:
+                    return _update_leaf(leaf, position, version_lsn)
+                node.value_leaf = _Leaf(key, position.segment_id, position.offset, version_lsn)
+                self.size += 1
+                return None
+            byte = key[depth]
+            child = node.find(byte)
+            if child is None:
+                replacement = node.set_child(
+                    byte, _Leaf(key, position.segment_id, position.offset, version_lsn))
+                if replacement is node:
+                    self.size += 1
+                    return None
+                break
+            parent, parent_byte, node = node, byte, child
+            depth += 1
+        self.size += 1
+        if parent is None:
+            self.root = replacement
+        else:
+            parent.set_child(parent_byte, replacement)
+        return None
 
     def reposition(self, key: bytes, position: LogPosition, version_lsn: int) -> bool:
         """Compaction remap: move an entry iff its version matches exactly."""
@@ -279,59 +349,19 @@ class AdaptiveRadixTree:
         node = self.root
         depth = 0
         while node is not None:
-            if isinstance(node, _Leaf):
+            if node.__class__ is _Leaf:
                 return node if node.key == key else None
-            p = node.prefix
-            if p and key[depth:depth + len(p)] != p:
-                return None
-            depth += len(p)
+            prefix = node.prefix
+            if prefix:
+                end = depth + len(prefix)
+                if key[depth:end] != prefix:
+                    return None
+                depth = end
             if depth == len(key):
                 return node.value_leaf
-            node = _get_child(node, key[depth])
+            node = node.find(key[depth])
             depth += 1
         return None
-
-    def _update_leaf(self, leaf: _Leaf, position, version_lsn, result) -> None:
-        if version_lsn > leaf.version_lsn:
-            result[0] = leaf.entry()
-            leaf.segment_id = position.segment_id
-            leaf.offset = position.offset
-            leaf.version_lsn = version_lsn
-        else:
-            result[0] = leaf.entry()
-
-    def _insert(self, node, key, depth, position, version_lsn, result, _replaced):
-        if isinstance(node, _Leaf):
-            if node.key == key:
-                self._update_leaf(node, position, version_lsn, result)
-                return node
-            new_leaf = _Leaf(key, position.segment_id, position.offset, version_lsn)
-            self.size += 1
-            return _split_leaf(node, new_leaf, depth)
-        p = node.prefix
-        common = _common_prefix_len(key[depth:], p)
-        if common < len(p):
-            new_leaf = _Leaf(key, position.segment_id, position.offset, version_lsn)
-            self.size += 1
-            return _split_node(node, new_leaf, depth, common)
-        depth += len(p)
-        if depth == len(key):
-            if node.value_leaf is None:
-                node.value_leaf = _Leaf(key, position.segment_id, position.offset, version_lsn)
-                self.size += 1
-            else:
-                self._update_leaf(node.value_leaf, position, version_lsn, result)
-            return node
-        byte = key[depth]
-        child = _get_child(node, byte)
-        if child is None:
-            leaf = _Leaf(key, position.segment_id, position.offset, version_lsn)
-            self.size += 1
-            return _set_child(node, byte, leaf)
-        new_child = self._insert(child, key, depth + 1, position, version_lsn, result, _replaced)
-        if new_child is not child:
-            node = _set_child(node, byte, new_child)
-        return node
 
     def remove(self, key: bytes) -> IndexEntry | None:
         if self.root is None:
@@ -343,7 +373,7 @@ class AdaptiveRadixTree:
         return result[0]
 
     def _remove(self, node, key, depth, result):
-        if isinstance(node, _Leaf):
+        if node.__class__ is _Leaf:
             if node.key == key:
                 result[0] = node.entry()
                 return None
@@ -359,59 +389,79 @@ class AdaptiveRadixTree:
                 return _collapse(node)
             return node
         byte = key[depth]
-        child = _get_child(node, byte)
+        child = node.find(byte)
         if child is None:
             return node
         new_child = self._remove(child, key, depth + 1, result)
         if new_child is None:
-            node = _remove_child(node, byte)
-            return _collapse(node)
+            return _collapse(node.remove_child(byte))
         if new_child is not child:
-            node = _set_child(node, byte, new_child)
+            node.set_child(byte, new_child)
         return node
 
     # -- ordered iteration --------------------------------------------------
 
     def items(self) -> Iterator[IndexEntry]:
-        yield from self._iter(self.root, b"", None)
+        for leaf in self._leaves(None):
+            yield leaf.entry()
 
     def items_from(self, start_key: bytes) -> Iterator[IndexEntry]:
-        yield from self._iter(self.root, b"", start_key)
+        for leaf in self._leaves(start_key):
+            yield leaf.entry()
 
-    def _iter(self, node, path: bytes, start: bytes | None) -> Iterator[IndexEntry]:
-        if node is None:
-            return
-        if isinstance(node, _Leaf):
-            if start is None or node.key >= start:
-                yield node.entry()
-            return
-        path = path + node.prefix
-        if start is not None:
-            bound = start[:len(path)]
-            if path < bound:
-                return
-            if path > bound:
-                start = None
-        if node.value_leaf is not None and (start is None or path >= start):
-            yield node.value_leaf.entry()
-        for byte, child in _items(node):
-            child_start = start
-            if start is not None:
-                p = path + bytes([byte])
-                bound = start[:len(p)]
-                if p < bound:
-                    continue
-                if p > bound:
-                    child_start = None
-            yield from self._iter(child, path + bytes([byte]), child_start)
+    def _leaves(self, start: bytes | None) -> Iterator[_Leaf]:
+        """Leaves with key >= start (all when start is None), in key order.
+
+        One explicit stack, topped by the smallest pending subtree: the seek
+        pushes, level by level, the siblings right of `start`'s path, so the
+        walk below only ever expands whole subtrees.
+        """
+        stack: list[object] = []
+        node = self.root
+        if start is None:
+            if node is not None:
+                stack.append(node)
+        else:
+            depth = 0
+            while node is not None:
+                if node.__class__ is _Leaf:
+                    if node.key >= start:
+                        stack.append(node)
+                    break
+                prefix = node.prefix
+                end = depth + len(prefix)
+                part = start[depth:end]
+                if part != prefix:
+                    # `start` leaves this path inside the prefix: the whole
+                    # subtree sorts after it, or all of it before
+                    if part < prefix:
+                        stack.append(node)
+                    break
+                depth = end
+                if depth == len(start):
+                    stack.append(node)  # its value leaf is `start` itself
+                    break
+                byte = start[depth]
+                stack.extend(reversed(node.children_after(byte)))
+                node = node.find(byte)
+                depth += 1
+        pop, extend = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            if node.__class__ is _Leaf:
+                yield node
+                continue
+            extend(reversed(node.child_list()))
+            if node.value_leaf is not None:
+                yield node.value_leaf
 
     def range(self, start_key: bytes, end_key: bytes, limit: int | None = None) -> list[IndexEntry]:
         """Entries with start_key <= key < end_key in ascending order."""
         out: list[IndexEntry] = []
-        for entry in self.items_from(start_key):
-            if entry.key >= end_key:
+        for leaf in self._leaves(start_key):
+            if leaf.key >= end_key:
                 break
-            out.append(entry)
+            out.append(leaf.entry())
             if limit is not None and len(out) >= limit:
                 break
         return out
@@ -427,21 +477,28 @@ class AdaptiveRadixTree:
         freeze time, stored in the trailer so recovery can seek straight to
         the uncovered tail.
         """
-        crc = 0
         header = _SNAP_HEADER.pack(_SNAP_MAGIC, _SNAP_VERSION)
         sink.write(header)
-        crc = zlib.crc32(header, crc)
+        crc = zlib.crc32(header)
         count = 0
         last_lsn = 0
-        for entry in self.items():
-            buf = _SNAP_ENTRY.pack(
-                len(entry.key), entry.position.segment_id,
-                entry.position.offset, entry.version_lsn,
-            ) + entry.key
-            sink.write(buf)
-            crc = zlib.crc32(buf, crc)
+        pack = _SNAP_ENTRY.pack
+        parts: list[bytes] = []
+        for leaf in self._leaves(None):
+            key = leaf.key
+            parts.append(pack(len(key), leaf.segment_id, leaf.offset, leaf.version_lsn))
+            parts.append(key)
+            if leaf.version_lsn > last_lsn:
+                last_lsn = leaf.version_lsn
             count += 1
-            last_lsn = max(last_lsn, entry.version_lsn)
+            if len(parts) >= 2 * _SNAP_WRITE_CHUNK:
+                chunk = b"".join(parts)
+                sink.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+                parts.clear()
+        chunk = b"".join(parts)
+        sink.write(chunk)
+        crc = zlib.crc32(chunk, crc)
         tail_wo_crc = struct.pack("<QQIQ", count, last_lsn, cursor[0], cursor[1])
         crc = zlib.crc32(tail_wo_crc, crc)
         sink.write(tail_wo_crc + struct.pack("<I", crc))
@@ -451,7 +508,11 @@ class AdaptiveRadixTree:
     def snapshot_load(cls, source: BinaryIO) -> tuple["AdaptiveRadixTree", int, tuple[int, int]]:
         """Rebuild a tree from a snapshot; returns (tree, last_lsn, cursor).
 
-        Raises SnapshotCorruptError on truncation or checksum mismatch.
+        The entries arrive in key order, so the tree is built bottom-up in
+        one pass (see `_bulk_build`), with no descent from the root per key.
+        Raises SnapshotCorruptError on truncation, checksum mismatch, an
+        entry count that disagrees with the trailer, or keys that are not
+        strictly ascending.
         """
         data = source.read()
         if len(data) < _SNAP_HEADER.size + _SNAP_TRAILER.size:
@@ -462,21 +523,13 @@ class AdaptiveRadixTree:
         count, last_lsn, cur_seg, cur_off, crc = _SNAP_TRAILER.unpack_from(
             data, len(data) - _SNAP_TRAILER.size
         )
-        if zlib.crc32(data[:-4]) != crc:
+        if zlib.crc32(memoryview(data)[:-4]) != crc:
             raise SnapshotCorruptError("snapshot checksum mismatch")
         tree = cls()
-        offset = _SNAP_HEADER.size
-        body_end = len(data) - _SNAP_TRAILER.size
-        loaded = 0
-        while offset < body_end:
-            key_len, seg, rec_off, lsn = _SNAP_ENTRY.unpack_from(data, offset)
-            offset += _SNAP_ENTRY.size
-            key = data[offset:offset + key_len]
-            offset += key_len
-            tree.put(key, LogPosition(seg, rec_off), lsn)
-            loaded += 1
-        if loaded != count:
-            raise SnapshotCorruptError(f"entry count mismatch: {loaded} != {count}")
+        tree.root, tree.size = _bulk_build(data, _SNAP_HEADER.size,
+                                           len(data) - _SNAP_TRAILER.size)
+        if tree.size != count:
+            raise SnapshotCorruptError(f"entry count mismatch: {tree.size} != {count}")
         return tree, last_lsn, (cur_seg, cur_off)
 
     # -- debug introspection ---------------------------------------------------
@@ -487,17 +540,25 @@ class AdaptiveRadixTree:
         stack = [self.root] if self.root is not None else []
         while stack:
             node = stack.pop()
-            if isinstance(node, _Leaf):
+            if node.__class__ is _Leaf:
                 continue
             hist[node.kind] = hist.get(node.kind, 0) + 1
-            for _, child in _items(node):
-                stack.append(child)
+            stack.extend(node.child_list())
         return hist
 
     def root_kind(self) -> int | None:
-        if self.root is None or isinstance(self.root, _Leaf):
+        if self.root is None or self.root.__class__ is _Leaf:
             return None
         return self.root.kind
+
+
+def _update_leaf(leaf: _Leaf, position: LogPosition, version_lsn: int) -> IndexEntry:
+    old = leaf.entry()
+    if version_lsn > leaf.version_lsn:
+        leaf.segment_id = position.segment_id
+        leaf.offset = position.offset
+        leaf.version_lsn = version_lsn
+    return old
 
 
 def _split_leaf(old: _Leaf, new: _Leaf, depth: int):
@@ -509,7 +570,7 @@ def _split_leaf(old: _Leaf, new: _Leaf, depth: int):
         if len(rest) == common:
             node.value_leaf = leaf
         else:
-            _set_child(node, rest[common], leaf)
+            node.set_child(rest[common], leaf)
     return node
 
 
@@ -518,24 +579,107 @@ def _split_node(node, new_leaf: _Leaf, depth: int, common: int):
     p = node.prefix
     parent = _Node4(p[:common])
     node.prefix = p[common + 1:]
-    _set_child(parent, p[common], node)
+    parent.set_child(p[common], node)
     rest = new_leaf.key[depth + common:]
     if not rest:
         parent.value_leaf = new_leaf
     else:
-        _set_child(parent, rest[0], new_leaf)
+        parent.set_child(rest[0], new_leaf)
     return parent
 
 
 def _collapse(node):
     """Restore path compression after a removal."""
-    n = _child_count(node)
+    n = node.count
     if n == 0:
         return node.value_leaf  # may be None: node vanishes entirely
     if n == 1 and node.value_leaf is None:
-        byte, child = next(_items(node))
-        if isinstance(child, _Leaf):
+        byte, child = node.pairs()[0]
+        if child.__class__ is _Leaf:
             return child
         child.prefix = node.prefix + bytes([byte]) + child.prefix
         return child
     return node
+
+
+def _bulk_build(data: bytes, offset: int, end: int) -> tuple[object, int]:
+    """Build the canonical tree from snapshot entries in data[offset:end].
+
+    Returns (root, entry count).  The entries must be in strictly ascending
+    key order.  In such a sequence the common prefix of each key with the one
+    before it says where the tree branches: the keys of one inner node are a
+    run whose neighbours share at least the node's branch depth.  So one
+    pass keeps a stack of open nodes with increasing branch depths; a key
+    whose common prefix with the previous key is shorter than the top's
+    branch depth closes that node, which becomes a child of the node below
+    it (or of a new node opened at that shorter depth).  A closed node's
+    prefix is known once its parent is: the bytes between the parent's
+    branch byte and its own branch depth.
+    """
+    unpack = _SNAP_ENTRY.unpack_from
+    entry_size = _SNAP_ENTRY.size
+    # open nodes: [branch depth, first key, value leaf, child bytes, children]
+    stack: list[list] = []
+    prev_leaf = None    # the previous key's leaf, attached once the next key is read
+    prev = b""
+    count = 0
+    while offset < end:
+        key_len, seg, rec_off, lsn = unpack(data, offset)
+        offset += entry_size
+        key = data[offset:offset + key_len]
+        offset += key_len
+        if key <= prev:
+            raise SnapshotCorruptError(f"snapshot key {count} not above the previous key")
+        leaf = _Leaf(key, seg, rec_off, lsn)
+        count += 1
+        if prev_leaf is not None:
+            # _common_prefix_len(prev, key), inlined: this runs once per entry
+            n = len(prev) if len(prev) < len(key) else len(key)
+            x = _from_bytes(prev[:n], "big") ^ _from_bytes(key[:n], "big")
+            common = n - (x.bit_length() + 7) // 8
+            if stack and stack[-1][0] == common:
+                # the common case: the previous key and this one are siblings
+                top = stack[-1]
+                if len(prev) == common:
+                    top[2] = prev_leaf
+                else:
+                    top[3].append(prev[common])
+                    top[4].append(prev_leaf)
+            else:
+                child, first, child_depth = _close_deeper(stack, common, prev_leaf, prev, -1)
+                if not stack or stack[-1][0] < common:
+                    stack.append([common, first, None, [], []])
+                _attach(stack[-1], child, first, child_depth)
+        prev_leaf, prev = leaf, key
+    if offset != end:
+        raise SnapshotCorruptError("snapshot entry overruns the trailer")
+    if prev_leaf is None:
+        return None, 0
+    root, first, root_depth = _close_deeper(stack, -1, prev_leaf, prev, -1)
+    if root_depth >= 0:
+        root.prefix = first[:root_depth]
+    return root, count
+
+
+def _close_deeper(stack: list[list], depth: int, child, first_key: bytes, child_depth: int):
+    """Close the open nodes that branch deeper than `depth`, each one taking
+    the subtree closed before it; returns the last (subtree, first key,
+    branch depth)."""
+    while stack and stack[-1][0] > depth:
+        top = stack.pop()
+        _attach(top, child, first_key, child_depth)
+        child = _make_node(b"", top[2], top[3], top[4])
+        first_key, child_depth = top[1], top[0]
+    return child, first_key, child_depth
+
+
+def _attach(parent: list, child, first_key: bytes, child_depth: int) -> None:
+    """Hang a finished subtree (a leaf when child_depth is -1) on an open node."""
+    depth = parent[0]
+    if child_depth >= 0:
+        child.prefix = first_key[depth + 1:child_depth]
+    if len(first_key) == depth:
+        parent[2] = child
+    else:
+        parent[3].append(first_key[depth])
+        parent[4].append(child)

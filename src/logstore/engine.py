@@ -8,8 +8,10 @@ engine itself is synchronous; queueing, batching and replication sit above it
 
 from __future__ import annotations
 
+import heapq
 import threading
 import zlib
+from itertools import islice
 from pathlib import Path
 
 from . import wal
@@ -139,16 +141,17 @@ class Partition:
         return record.value
 
     def range(self, start: bytes, end: bytes, limit: int | None = None) -> list[tuple[bytes, bytes]]:
-        out = []
-        for entry in self.index.range(start, end, limit):
-            cached = self.cache.get(entry.key)
-            if cached is not None:
-                out.append((entry.key, cached[0]))
-            else:
-                record = self.store.read_at(entry.position)
-                self.cache.admit(entry.key, record.value, entry.version_lsn)
-                out.append((entry.key, record.value))
-        return out
+        return [(entry.key, self.value_of(entry))
+                for entry in self.index.range(start, end, limit)]
+
+    def value_of(self, entry: IndexEntry) -> bytes:
+        """The value an index entry points at: from the cache, else one log read."""
+        cached = self.cache.get(entry.key)
+        if cached is not None:
+            return cached[0]
+        record = self.store.read_at(entry.position)
+        self.cache.admit(entry.key, record.value, entry.version_lsn)
+        return record.value
 
     def batch_get(self, keys: list[bytes]) -> list[tuple[bytes, bytes | None]]:
         """Point lookups for small batches, one sequential scan for large ones."""
@@ -275,13 +278,12 @@ class Store:
         return self.partition_for(key).get(key)
 
     def range(self, start: bytes, end: bytes, limit: int | None = None) -> list[tuple[bytes, bytes]]:
-        results: list[tuple[bytes, bytes]] = []
-        for p in self.partitions:
-            results.extend(p.range(start, end, limit))
-        results.sort(key=lambda kv: kv[0])
-        if limit is not None:
-            results = results[:limit]
-        return results
+        """Merge the partitions' index entries first and cut them to `limit`,
+        so only the entries returned have their values read."""
+        runs = [[(entry, p) for entry in p.index.range(start, end, limit)]
+                for p in self.partitions]
+        merged = heapq.merge(*runs, key=lambda run_item: run_item[0].key)
+        return [(entry.key, p.value_of(entry)) for entry, p in islice(merged, limit)]
 
     def batch_get(self, keys: list[bytes]) -> list[tuple[bytes, bytes | None]]:
         by_partition: dict[int, list[bytes]] = {}

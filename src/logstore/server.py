@@ -34,6 +34,7 @@ from .wal import KIND_DELETE, KIND_PUT
 log = logging.getLogger("logstore.server")
 
 READ_GATE_TIMEOUT = 5.0
+HEARTBEAT_THREAD = "logstore-hb"
 
 
 class _Future:
@@ -184,10 +185,16 @@ class ServerNode:
         t.start()
         self._threads.append(t)
         if self._is_leader_anywhere():
-            t = threading.Thread(target=self._heartbeat_loop, daemon=True)
-            t.start()
-            self._threads.append(t)
+            self._start_heartbeat()
         log.info("node %d listening on %s:%d", self.config.node_id, host, port)
+
+    def _start_heartbeat(self) -> None:
+        """One heartbeat loop per node serves every partition it leads."""
+        if any(t.name == HEARTBEAT_THREAD for t in self._threads):
+            return
+        t = threading.Thread(target=self._heartbeat_loop, daemon=True, name=HEARTBEAT_THREAD)
+        t.start()
+        self._threads.append(t)
 
     def _maybe_pin(self, thread: threading.Thread, pid: int) -> None:
         if not self.config.pin_executors:
@@ -334,12 +341,14 @@ class ServerNode:
             kind, payload = item
             if kind == "work":
                 payload()
-                continue
-            # modification signal: drain one batch
-            with self.locks[pid]:
-                replica.exec_batch()
-                self._ship(pid)
-                self._resolve_ready(pid)
+            # Whatever woke the loop, run every op dispatched so far.  So an
+            # op whose own "mod" signal met a full queue still runs: a full
+            # queue holds items that will wake this loop after the dispatch.
+            while replica.pending_exec:
+                with self.locks[pid]:
+                    replica.exec_batch()
+                    self._ship(pid)
+                    self._resolve_ready(pid)
 
     def _resolve_ready(self, pid: int) -> None:
         for obj in self.replicas[pid].ready_replies():
@@ -421,9 +430,9 @@ class ServerNode:
             self.futures[(pid, lsn)] = future
             self._ship(pid)  # replicate in parallel with local commit
         try:
-            self.queues[pid].put(("mod", None), timeout=1.0)
+            self.queues[pid].put_nowait(("mod", None))
         except queue.Full:
-            pass  # executor will drain it with a later signal
+            pass  # the queued items wake the executor, which runs every pending op
         if not future.event.wait(timeout=10.0):
             return wire.encode_err(wire.ERR_TIMEOUT, "commit timeout")
         if future.error is not None:
@@ -482,11 +491,7 @@ class ServerNode:
         with self.locks[pid]:
             replica.promote(peer_flushed)
         self.config.leader_node = self.config.node_id
-        if not any(t.name == "logstore-hb" for t in self._threads):
-            t = threading.Thread(target=self._heartbeat_loop, daemon=True,
-                                 name="logstore-hb")
-            t.start()
-            self._threads.append(t)
+        self._start_heartbeat()
         with self.locks[pid]:
             self._ship(pid)
         return wire.encode_ok(lsn=replica.state.flushed)

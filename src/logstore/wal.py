@@ -30,7 +30,8 @@ KIND_DELETE = 1
 
 _PREFIX = struct.Struct("<QBII")          # lsn, kind, key_len, val_len
 _CRC = struct.Struct("<I")
-HEADER_LEN = _PREFIX.size + _CRC.size     # 21 bytes
+_HEADER = struct.Struct("<QBIII")         # the prefix, then the crc
+HEADER_LEN = _HEADER.size                 # 21 bytes
 
 STATE_ACTIVE = "active"
 STATE_SEALED_UNSORTED = "sealed_unsorted"
@@ -47,15 +48,14 @@ class LogPosition(NamedTuple):
     offset: int
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     lsn: int
     kind: int
     key: bytes
     value: bytes
 
-    def serialized_size(self) -> int:
-        return HEADER_LEN + len(self.key) + len(self.value)
+
+_new_tuple = tuple.__new__
 
 
 def record_size(key: bytes, value: bytes) -> int:
@@ -77,20 +77,21 @@ def decode_record(buf: bytes, offset: int = 0) -> tuple[LogRecord, int]:
     end = offset + HEADER_LEN
     if end > len(buf):
         raise CorruptRecordError("short header")
-    lsn, kind, key_len, val_len = _PREFIX.unpack_from(buf, offset)
-    (crc,) = _CRC.unpack_from(buf, offset + _PREFIX.size)
-    body_end = end + key_len + val_len
+    lsn, kind, key_len, val_len, crc = _HEADER.unpack_from(buf, offset)
+    key_end = end + key_len
+    body_end = key_end + val_len
     if body_end > len(buf):
         raise CorruptRecordError("short body")
-    key = buf[end:end + key_len]
-    value = buf[end + key_len:body_end]
-    prefix = _PREFIX.pack(lsn, kind, key_len, val_len)
-    actual = zlib.crc32(value, zlib.crc32(key, zlib.crc32(prefix)))
-    if actual != crc:
+    key = buf[end:key_end]
+    value = buf[key_end:body_end]
+    # the crc runs over the packed prefix as stored, then the key and value
+    # slices the record returns anyway
+    if zlib.crc32(value, zlib.crc32(key, zlib.crc32(buf[offset:offset + _PREFIX.size]))) != crc:
         raise CorruptRecordError(f"crc mismatch at offset {offset}")
     if kind not in (KIND_PUT, KIND_DELETE):
         raise CorruptRecordError(f"bad record kind {kind}")
-    return LogRecord(lsn, kind, key, value), body_end - offset
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return _new_tuple(LogRecord, (lsn, kind, key, value)), body_end - offset
 
 
 def _frame_reaches_eof(buf: bytes, offset: int) -> bool:

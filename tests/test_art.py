@@ -2,6 +2,8 @@
 
 import io
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,3 +194,82 @@ class TestSnapshot:
         buf.seek(0)
         loaded, last_lsn, _ = AdaptiveRadixTree.snapshot_load(buf)
         assert loaded.size == 0 and last_lsn == 0
+
+
+def snapshot_bytes(keys, count=None):
+    """A snapshot file with a valid checksum holding `keys` in the given order."""
+    body = b"".join(struct.pack("<IIQQ", len(k), 0, i, i + 1) + k for i, k in enumerate(keys))
+    data = struct.pack("<IB", 0x4C534958, 1) + body + struct.pack(
+        "<QQIQ", len(keys) if count is None else count, len(keys), 0, 0)
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
+# short keys over a tiny alphabet share prefixes and are prefixes of each
+# other; one- and two-byte keys give wide nodes (Node48, Node256)
+art_keys = st.one_of(
+    st.lists(st.sampled_from([0, 1, 255]), min_size=1, max_size=6).map(bytes),
+    st.binary(min_size=1, max_size=2),
+    st.binary(min_size=1, max_size=10),
+)
+
+
+class TestBulkLoad:
+    @given(st.sets(art_keys, max_size=400), st.lists(art_keys, max_size=20), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_loaded_tree_equals_insertion_built(self, keys, probes, rnd):
+        order = sorted(keys)
+        rnd.shuffle(order)
+        built = AdaptiveRadixTree()
+        for i, key in enumerate(order):
+            built.put(key, pos(i), i + 1)
+        buf = io.BytesIO()
+        built.snapshot_write(buf, cursor=(2, 7))
+        buf.seek(0)
+        loaded, _, cursor = AdaptiveRadixTree.snapshot_load(buf)
+        assert cursor == (2, 7)
+        assert list(loaded.items()) == list(built.items())
+        assert loaded.node_kinds() == built.node_kinds()
+        assert loaded.size == built.size == len(keys)
+        for key in order + probes:
+            assert loaded.get(key) == built.get(key)
+            assert list(loaded.items_from(key)) == list(built.items_from(key))
+        for a, b in zip(probes, probes[1:]):
+            assert loaded.range(a, b, 5) == built.range(a, b, 5)
+
+    def test_loaded_tree_takes_further_writes(self):
+        keys = [b"x" + bytes([b]) for b in range(60)] + [b"x", b"xyz"]
+        built = AdaptiveRadixTree()
+        for i, key in enumerate(keys):
+            built.put(key, pos(i), i + 1)
+        buf = io.BytesIO()
+        built.snapshot_write(buf)
+        buf.seek(0)
+        loaded, _, _ = AdaptiveRadixTree.snapshot_load(buf)
+        for tree in (built, loaded):
+            for b in range(40):
+                tree.remove(b"x" + bytes([b]))
+            tree.put(b"xa", pos(99), 99)
+        assert list(loaded.items()) == list(built.items())
+        assert loaded.node_kinds() == built.node_kinds()
+
+    def test_hand_built_snapshot_loads(self):
+        loaded, last_lsn, _ = AdaptiveRadixTree.snapshot_load(
+            io.BytesIO(snapshot_bytes([b"a", b"ab", b"b"])))
+        assert [e.key for e in loaded.items()] == [b"a", b"ab", b"b"]
+        assert last_lsn == 3
+
+    @pytest.mark.parametrize("keys", [
+        [b"a", b"a"],                   # duplicate key
+        [b"a", b"b", b"b", b"c"],
+        [b"b", b"a"],                   # out of order
+        [b"ab", b"a"],                  # prefix after its extension
+        [b"a", b"c", b"b"],
+        [b""],                          # empty key
+    ])
+    def test_unordered_snapshot_with_valid_crc_rejected(self, keys):
+        with pytest.raises(SnapshotCorruptError):
+            AdaptiveRadixTree.snapshot_load(io.BytesIO(snapshot_bytes(keys)))
+
+    def test_entry_count_mismatch_rejected(self):
+        with pytest.raises(SnapshotCorruptError):
+            AdaptiveRadixTree.snapshot_load(io.BytesIO(snapshot_bytes([b"a", b"b"], count=3)))

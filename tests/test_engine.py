@@ -99,6 +99,18 @@ class TestReadWritePath:
             [(b"key%03d" % i, b"v%d" % i) for i in range(7)]
         store.close()
 
+    def test_range_reads_only_the_values_it_returns(self, tmp_path):
+        store = Store(tmp_path, partitions=2)
+        for i in range(40):
+            store.put(b"key%03d" % i, b"v%d" % i)
+        assert {len(p.index.range(b"key000", b"key040")) for p in store.partitions} != {0}
+        store.get(b"key002")  # the only cached value in the range
+        before = store.counters.log_point_reads
+        got = store.range(b"key000", b"key040", limit=6)
+        assert got == [(b"key%03d" % i, b"v%d" % i) for i in range(6)]
+        assert store.counters.log_point_reads - before == 5
+        store.close()
+
     def test_store_batch_get_preserves_request_order(self, tmp_path):
         store = Store(tmp_path, partitions=4)
         for i in range(50):

@@ -1,9 +1,11 @@
 """Restart paths: checkpoints, tail replay proportionality, torn tails."""
 
+import io
 import os
 
 import pytest
 
+from logstore.art import AdaptiveRadixTree
 from logstore.engine import Partition, Store
 from logstore.errors import CorruptRecordError
 from logstore.recovery import (
@@ -13,7 +15,7 @@ from logstore.recovery import (
     snapshot_path,
     write_checkpoint,
 )
-from logstore.wal import HEADER_LEN
+from logstore.wal import HEADER_LEN, LogPosition
 
 
 def fill(p, n, start=0, prefix=b"k"):
@@ -199,3 +201,31 @@ class TestRecoverStore:
         # only the post-checkpoint tail was replayed, across all partitions
         assert recovered.counters.records_replayed == 50
         recovered.close()
+
+
+class TestSnapshotFormat:
+    # Written by the insertion-built tree of an earlier release: keys b"app",
+    # b"apple", b"applepie", b"b", b"k\x00\x01", b"k\x00\x02", b"k\x01" at
+    # versions 10..16, positions (i % 2, 21 * i), cursor (1, 147).
+    SNAPSHOT = bytes.fromhex(
+        "5849534c01030000000000000000000000000000000a00000000000000617070"
+        "050000000100000015000000000000000b000000000000006170706c65080000"
+        "00000000002a000000000000000c000000000000006170706c65706965010000"
+        "00010000003f000000000000000d000000000000006203000000000000005400"
+        "0000000000000e000000000000006b0001030000000100000069000000000000"
+        "000f000000000000006b000202000000000000007e0000000000000010000000"
+        "000000006b010700000000000000100000000000000001000000930000000000"
+        "0000a7b9a191"
+    )
+    KEYS = [b"app", b"apple", b"applepie", b"b", b"k\x00\x01", b"k\x00\x02", b"k\x01"]
+
+    def test_stored_snapshot_loads_and_rewrites_byte_for_byte(self):
+        tree, last_lsn, cursor = AdaptiveRadixTree.snapshot_load(io.BytesIO(self.SNAPSHOT))
+        assert (last_lsn, cursor, tree.size) == (16, (1, 147), 7)
+        assert [(e.key, e.position, e.version_lsn) for e in tree.items()] == [
+            (key, LogPosition(i % 2, 21 * i), 10 + i) for i, key in enumerate(self.KEYS)
+        ]
+        assert tree.node_kinds() == {4: 5}
+        out = io.BytesIO()
+        assert tree.snapshot_write(out, cursor=cursor) == (7, 16)
+        assert out.getvalue() == self.SNAPSHOT

@@ -1,6 +1,7 @@
 """TCP server nodes on localhost: client API, replication, restart."""
 
 import socket
+import threading
 import time
 
 import pytest
@@ -94,6 +95,48 @@ class TestSingleNode:
         with Client("127.0.0.1", node2.port) as c:
             assert c.get(b"k150") == b"v150"
         node2.stop()
+
+    def test_put_commits_when_its_executor_signal_meets_a_full_queue(self, tmp_path):
+        cfg = NodeConfig(node_id=0, listen="127.0.0.1:0", partitions=1, queue_depth=4,
+                         data_dir=str(tmp_path / "n0"))
+        node = ServerNode(cfg)
+        node.start()
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold():
+            held.set()
+            release.wait(5.0)
+
+        q = node.queues[0]
+        q.put(("work", hold))
+        assert held.wait(5.0)
+        while not q.full():
+            q.put(("work", lambda: None))
+        # the PUT's signal finds the queue full; its executor stays busy for
+        # longer than the old blocking put waited before giving the signal up
+        timer = threading.Timer(1.5, release.set)
+        timer.start()
+        try:
+            with Client("127.0.0.1", node.port) as c:
+                t0 = time.monotonic()
+                assert c.put(b"k", b"v") > 0
+                assert time.monotonic() - t0 < 5.0
+                assert c.get(b"k") == b"v"
+        finally:
+            release.set()
+            timer.cancel()
+            node.stop()
+
+    def test_one_heartbeat_thread_after_promotion(self, single):
+        node, c = single
+
+        def heartbeats():
+            return [t for t in node._threads if t.name == "logstore-hb" and t.is_alive()]
+
+        assert len(heartbeats()) == 1
+        c.promote(1)  # the node already leads partition 0
+        assert len(heartbeats()) == 1
 
     def test_unknown_frame_type_errors_cleanly(self, single):
         node, _ = single
