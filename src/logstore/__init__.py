@@ -6,7 +6,6 @@ from .art import AdaptiveRadixTree, IndexEntry
 from .cache import CacheConfig, FifoCache, LruCache, TwoStageCache
 from .engine import Partition, Store, route
 from .errors import (
-    BackpressureError,
     ConfigError,
     CorruptRecordError,
     LogStoreError,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveRadixTree",
-    "BackpressureError",
     "CacheConfig",
     "ConfigError",
     "CorruptRecordError",

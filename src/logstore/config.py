@@ -38,7 +38,6 @@ class NodeConfig:
     queue_depth: int = 1024
     leader_node: int = 0
     seed: int = 0
-    pin_executors: bool = False
 
     @property
     def cluster_size(self) -> int:
@@ -67,8 +66,6 @@ class NodeConfig:
                 setattr(cfg, key, int(raw))
             elif key == "cooling_fraction":
                 cfg.cooling_fraction = float(raw)
-            elif key == "pin_executors":
-                cfg.pin_executors = raw.lower() in ("1", "true", "yes")
             elif key in ("listen", "data_dir", "flush_policy"):
                 setattr(cfg, key, raw)
             else:

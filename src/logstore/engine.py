@@ -221,9 +221,6 @@ class Partition:
 
         return recovery.write_checkpoint(self)
 
-    def index_entry(self, key: bytes) -> IndexEntry | None:
-        return self.index.get(key)
-
     def close(self) -> None:
         self.store.close()
 

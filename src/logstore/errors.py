@@ -24,14 +24,6 @@ class PartitionFaultError(LogStoreError):
 class NotLeaderError(LogStoreError):
     """A modification was submitted to a follower."""
 
-    def __init__(self, message: str = "not leader", leader_hint: str | None = None):
-        super().__init__(message)
-        self.leader_hint = leader_hint
-
-
-class BackpressureError(LogStoreError):
-    """The partition queue is full; the client should retry."""
-
 
 class SnapshotCorruptError(LogStoreError):
     """An index snapshot failed validation on load."""

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from itertools import takewhile
+from typing import Any, Callable, Iterable
 
-from .engine import Partition
+from . import wire
+from .engine import Partition, Store
 from .errors import LogStoreError, NotLeaderError, PromotionRefusedError
 from .wal import KIND_PUT, LogRecord
 
@@ -47,7 +49,6 @@ class LsnState:
 @dataclass
 class ReadDecision:
     action: str
-    wait_for_lsn: int = 0
 
 
 @dataclass
@@ -64,7 +65,6 @@ class ReplyObject:
     lsn: int
     token: Any
     result: Any = None
-    replied: bool = False
 
 
 def freshness_score(blsn: int, plsn: int) -> float:
@@ -93,7 +93,6 @@ class PartitionReplica:
     ):
         self.partition = partition
         self.node_id = node_id
-        self.cluster_size = cluster_size
         self.quorum = cluster_size // 2 + 1
         self.role = role
         self.epoch = epoch
@@ -200,13 +199,6 @@ class PartitionReplica:
         """NACK handling: resend from the follower's real frontier."""
         self.sent_to[peer] = expected_lsn - 1
 
-    def commit_lsn_for_send(self, peer: int) -> int:
-        self.last_sent_commit[peer] = self.state.potential_commit
-        return self.state.potential_commit
-
-    def needs_commit_heartbeat(self, peer: int) -> bool:
-        return self.last_sent_commit.get(peer, 0) < self.state.potential_commit
-
     def on_ack(self, peer: int, last_flushed_lsn: int) -> None:
         """Ack stage: cumulative ack — one LSN high-water mark per node."""
         if peer not in self.hwm:
@@ -216,31 +208,33 @@ class PartitionReplica:
             # anything the follower already flushed never needs resending
             self.sent_to[peer] = max(self.sent_to[peer], last_flushed_lsn)
             self._advance_commit()
-            self._prune_records()
 
     def _advance_commit(self) -> None:
-        """potential_commit = highest LSN durable on a quorum (incl. local)."""
+        """potential_commit = highest LSN durable on a quorum (incl. local).
+
+        Every mark that can move the commit point can also raise the prune
+        floor, so pruning runs here: a single-node leader, which never sees
+        an ack, frees each batch once it is flushed.
+        """
         marks = sorted([self.state.flushed, *self.hwm.values()], reverse=True)
         candidate = marks[self.quorum - 1] if len(marks) >= self.quorum else 0
         candidate = min(candidate, self.state.flushed)
         if candidate > self.state.potential_commit:
             self.state.potential_commit = candidate
             self.state.replayed = candidate  # leader index is always current
+        self._prune_records()
 
     def _prune_records(self) -> None:
-        if not self.records:
-            return
+        """Free the ops every node has flushed; `records` is in LSN order."""
         floor = min([self.state.flushed, *self.hwm.values()])
-        for lsn in [l for l in self.records if l <= floor]:
+        for lsn in list(takewhile(lambda lsn: lsn <= floor, self.records)):
             del self.records[lsn]
 
     def ready_replies(self) -> list[ReplyObject]:
         """Reply stage: everything at or below the quorum commit point."""
         out = []
         while self.waiting_reply and self.waiting_reply[0].lsn <= self.state.potential_commit:
-            obj = self.waiting_reply.popleft()
-            obj.replied = True
-            out.append(obj)
+            out.append(self.waiting_reply.popleft())
         return out
 
     # ------------------------------------------------------------------
@@ -290,7 +284,7 @@ class PartitionReplica:
         if read_view_lsn <= st.potential_commit:
             st.replayed = st.potential_commit  # zero-cost "replay"
             return ReadDecision(GATE_SERVE)
-        return ReadDecision(GATE_BLOCK, wait_for_lsn=read_view_lsn)
+        return ReadDecision(GATE_BLOCK)
 
     # ------------------------------------------------------------------
     # promotion
@@ -311,14 +305,127 @@ class PartitionReplica:
         self.epoch += 1
         self.next_lsn = self.state.flushed + 1
         self.partition.next_lsn = self.next_lsn
-        # keep cursors for every known peer; unreachable ones restart from 0
-        # and will be backfilled from the log (or nack to resync) on return
+        # keep cursors for every known peer; an unreachable one counts as caught
+        # up until its first nack rewinds the cursor to its real frontier
         peers = set(self.sent_to) | set(peer_flushed)
-        self.sent_to = {pid: min(peer_flushed.get(pid, 0), self.state.flushed)
-                        for pid in peers}
+        self.sent_to = {pid: min(peer_flushed.get(pid, self.state.flushed),
+                                 self.state.flushed) for pid in peers}
         self.hwm = {pid: peer_flushed.get(pid, 0) for pid in peers}
         self.last_sent_commit = {pid: 0 for pid in peers}
         self.pending_exec.clear()
         self.records.clear()
         self.waiting_reply.clear()
         self._advance_commit()
+
+
+class ReplicationCore:
+    """Every replication step of one node, for all of its partitions, no IO.
+
+    The core owns the node's `PartitionReplica`s and talks to the world only
+    through the two hooks its owner passes in: `send(peer, frame)` puts an
+    encoded frame on the link to `peer`, and `deliver(partition, reply)`
+    hands a committed write's `ReplyObject` to whoever waits on its token.
+    Its owners (`server.ServerNode`, `simnet.SimNode`) keep IO and time, and
+    make at most one call per partition at a time.
+    """
+
+    def __init__(self, store: Store, node_id: int, peer_ids: Iterable[int], role: str,
+                 max_batch: int, send: Callable[[int, bytes], None],
+                 deliver: Callable[[int, ReplyObject], None]):
+        self.send = send
+        self.deliver = deliver
+        peers = sorted(peer_ids)
+        self.replicas = {
+            pid: PartitionReplica(partition, node_id, len(peers) + 1, role=role,
+                                  peer_ids=peers, max_batch=max_batch)
+            for pid, partition in enumerate(store.partitions)
+        }
+
+    def write(self, pid: int, kind: int, key: bytes, value: bytes, token: Any) -> int:
+        """Dispatch a client write and ship it in parallel with local commit."""
+        lsn = self.replicas[pid].dispatch(kind, key, value, token)
+        self.ship(pid)
+        return lsn
+
+    def execute(self, pid: int, max_batch: int | None = None) -> None:
+        """One executor turn: apply a batch, ship it, deliver what committed."""
+        self.replicas[pid].exec_batch(max_batch)
+        self.ship(pid)
+        self._deliver_ready(pid)
+
+    def _deliver_ready(self, pid: int) -> None:
+        for reply in self.replicas[pid].ready_replies():
+            self.deliver(pid, reply)
+
+    def append(self, msg: wire.AppendEntries) -> bytes:
+        """Follower: apply an AppendEntries; returns the ack or nack frame."""
+        replica = self.replicas[msg.partition]
+        status, lsn = replica.handle_append_entries(
+            msg.epoch, msg.leader_commit_lsn, msg.records
+        )
+        return wire.AppendAck(
+            msg.partition, replica.epoch, replica.node_id, lsn,
+            wire.MSG_APPEND_ACK if status == "ack" else wire.MSG_APPEND_NACK,
+        ).encode()
+
+    def handle_ack(self, ack: wire.AppendAck) -> None:
+        """Leader: a nack rewinds the peer's cursor, an ack may commit."""
+        replica = self.replicas.get(ack.partition)
+        if replica is None or replica.role != ROLE_LEADER:
+            return
+        if ack.msg_type == wire.MSG_APPEND_NACK:
+            replica.reset_peer_cursor(ack.node_id, ack.last_flushed_lsn)
+        else:
+            replica.on_ack(ack.node_id, ack.last_flushed_lsn)
+            self._deliver_ready(ack.partition)
+        self.ship(ack.partition)
+
+    def ship(self, pid: int, heartbeat: bool = False) -> None:
+        """Send stage: push each peer's next unsent batch, pipelined.
+
+        As the heartbeat, also send a commit-only AppendEntries to each peer
+        that has nothing unsent but has not yet heard the commit point.
+        """
+        replica = self.replicas[pid]
+        if replica.role != ROLE_LEADER:
+            return
+        commit = replica.state.potential_commit
+        for peer in replica.sent_to:
+            records = replica.take_unsent(peer)
+            if records is None:
+                if not heartbeat or replica.last_sent_commit[peer] >= commit:
+                    continue
+                records = []
+            replica.last_sent_commit[peer] = commit
+            self.send(peer, wire.AppendEntries(pid, replica.epoch, commit, records).encode())
+
+    def beat_owed(self, pid: int) -> bool:
+        """Whether a heartbeat now would carry news to some peer."""
+        replica = self.replicas[pid]
+        commit = replica.state.potential_commit
+        return replica.role == ROLE_LEADER and any(
+            sent < commit for sent in replica.last_sent_commit.values()
+        )
+
+    def rewind(self, pid: int, peer: int) -> None:
+        """The link to `peer` dropped: resend everything it has not acked."""
+        replica = self.replicas[pid]
+        if replica.role == ROLE_LEADER:
+            replica.reset_peer_cursor(peer, replica.hwm.get(peer, 0) + 1)
+
+    def read(self, pid: int, key: bytes, view_lsn: int) -> Any:
+        """Gated read: the value, or GATE_BLOCK / GATE_REJECT in its place.
+
+        A leader, or a read without a view LSN, is served at once.
+        """
+        replica = self.replicas[pid]
+        if view_lsn and replica.role != ROLE_LEADER:
+            action = replica.read_gate(view_lsn).action
+            if action != GATE_SERVE:
+                return action
+        return replica.partition.get(key)
+
+    def take_over(self, pid: int, peer_flushed: dict[int, int]) -> None:
+        """Promote this node's replica of `pid` to leader and ship."""
+        self.replicas[pid].promote(peer_flushed)
+        self.ship(pid)

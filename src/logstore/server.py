@@ -3,6 +3,8 @@
 One executor thread owns each partition; every read and write crosses into
 it through the partition's bounded FIFO queue.  Replication runs on separate
 sender/receiver threads per peer, talking the same frame protocol as clients.
+The node drives `replication.ReplicationCore`, which holds every protocol
+step; this module adds only sockets, threads, locks and timeouts.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from contextlib import ExitStack
+from dataclasses import dataclass
 
 from . import wire
 from .config import NodeConfig
@@ -23,11 +25,10 @@ from .recovery import recover_store
 from .replication import (
     GATE_BLOCK,
     GATE_REJECT,
-    GATE_SERVE,
     HEARTBEAT_INTERVAL,
     ROLE_FOLLOWER,
     ROLE_LEADER,
-    PartitionReplica,
+    ReplicationCore,
 )
 from .wal import KIND_DELETE, KIND_PUT
 
@@ -72,11 +73,7 @@ class _PeerLink:
         self.frames: queue.Queue = queue.Queue()
         self.sock: socket.socket | None = None
         self._lock = threading.Lock()
-        self.sender = threading.Thread(target=self._send_loop, daemon=True)
-        self.sender.start()
-
-    def enqueue(self, frame: bytes) -> None:
-        self.frames.put(frame)
+        threading.Thread(target=self._send_loop, daemon=True).start()
 
     def _connect(self) -> bool:
         with self._lock:
@@ -143,24 +140,16 @@ class ServerNode:
             segment_bytes=config.segment_bytes,
         )
         role = ROLE_LEADER if config.node_id == config.leader_node else ROLE_FOLLOWER
-        peer_ids = sorted(config.peers)
-        self.replicas: dict[int, PartitionReplica] = {}
-        self.locks: dict[int, threading.RLock] = {}
-        self.queues: dict[int, queue.Queue] = {}
-        self.blocked_reads: dict[int, list[_BlockedRead]] = {}
-        self.futures: dict[tuple[int, int], _Future] = {}
-        for pid in range(config.partitions):
-            self.replicas[pid] = PartitionReplica(
-                self.store.partitions[pid],
-                config.node_id,
-                config.cluster_size,
-                role=role,
-                peer_ids=peer_ids,
-                max_batch=config.max_batch,
-            )
-            self.locks[pid] = threading.RLock()
-            self.queues[pid] = queue.Queue(maxsize=config.queue_depth)
-            self.blocked_reads[pid] = []
+        self.core = ReplicationCore(
+            self.store, config.node_id, config.peers, role, config.max_batch,
+            send=lambda peer, frame: self.peer_links[peer].frames.put(frame),
+            deliver=lambda _pid, reply: reply.token.resolve(reply.result),
+        )
+        self.replicas = self.core.replicas
+        # the core's calls for one partition run under that partition's lock
+        self.locks = {pid: threading.RLock() for pid in self.replicas}
+        self.queues = {pid: queue.Queue(maxsize=config.queue_depth) for pid in self.replicas}
+        self.blocked_reads: dict[int, list[_BlockedRead]] = {pid: [] for pid in self.replicas}
         self.peer_links = {
             pid: _PeerLink(self, pid, addr) for pid, addr in config.peers.items()
         }
@@ -180,35 +169,14 @@ class ServerNode:
             t = threading.Thread(target=self._executor_loop, args=(pid,), daemon=True)
             t.start()
             self._threads.append(t)
-            self._maybe_pin(t, pid)
         t = threading.Thread(target=self._accept_loop, daemon=True)
         t.start()
         self._threads.append(t)
-        if self._is_leader_anywhere():
-            self._start_heartbeat()
-        log.info("node %d listening on %s:%d", self.config.node_id, host, port)
-
-    def _start_heartbeat(self) -> None:
-        """One heartbeat loop per node serves every partition it leads."""
-        if any(t.name == HEARTBEAT_THREAD for t in self._threads):
-            return
+        # one heartbeat loop serves every partition this node leads, now or after a promotion
         t = threading.Thread(target=self._heartbeat_loop, daemon=True, name=HEARTBEAT_THREAD)
         t.start()
         self._threads.append(t)
-
-    def _maybe_pin(self, thread: threading.Thread, pid: int) -> None:
-        if not self.config.pin_executors:
-            return
-        try:
-            import os
-
-            cpus = sorted(os.sched_getaffinity(0))
-            os.sched_setaffinity(thread.native_id or 0, {cpus[pid % len(cpus)]})
-        except (AttributeError, OSError):
-            log.warning("executor pinning unavailable; continuing unpinned")
-
-    def _is_leader_anywhere(self) -> bool:
-        return any(r.role == ROLE_LEADER for r in self.replicas.values())
+        log.info("node %d listening on %s:%d", self.config.node_id, host, port)
 
     def stop(self) -> None:
         self.stopped = True
@@ -260,19 +228,12 @@ class ServerNode:
         msg = wire.AppendEntries.decode(payload)
 
         def work():
-            replica = self.replicas[msg.partition]
             with self.locks[msg.partition]:
-                status, lsn = replica.handle_append_entries(
-                    msg.epoch, msg.leader_commit_lsn, msg.records
-                )
+                ack = self.core.append(msg)
                 self._drain_blocked_reads(msg.partition)
-            ack = wire.AppendAck(
-                msg.partition, replica.epoch, self.config.node_id, lsn,
-                wire.MSG_APPEND_ACK if status == "ack" else wire.MSG_APPEND_NACK,
-            )
             with write_lock:
                 try:
-                    conn.sendall(ack.encode())
+                    conn.sendall(ack)
                 except OSError:
                     pass
 
@@ -281,50 +242,20 @@ class ServerNode:
     # -- replication: leader side ---------------------------------------------
 
     def on_peer_ack(self, ack: wire.AppendAck) -> None:
-        replica = self.replicas.get(ack.partition)
-        if replica is None or replica.role != ROLE_LEADER:
-            return
         with self.locks[ack.partition]:
-            if ack.msg_type == wire.MSG_APPEND_NACK:
-                replica.reset_peer_cursor(ack.node_id, ack.last_flushed_lsn)
-            else:
-                replica.on_ack(ack.node_id, ack.last_flushed_lsn)
-                self._resolve_ready(ack.partition)
-            self._ship(ack.partition)
+            self.core.handle_ack(ack)
 
     def rewind_peer(self, peer_id: int) -> None:
-        for pid, replica in self.replicas.items():
-            if replica.role != ROLE_LEADER:
-                continue
-            with self.locks[pid]:
-                replica.reset_peer_cursor(peer_id, replica.hwm.get(peer_id, 0) + 1)
-
-    def _ship(self, pid: int) -> None:
-        """Send stage: push unsent batches to every peer, pipelined."""
-        replica = self.replicas[pid]
-        for peer_id, link in self.peer_links.items():
-            records = replica.take_unsent(peer_id)
-            if records is None:
-                continue
-            msg = wire.AppendEntries(
-                pid, replica.epoch, replica.commit_lsn_for_send(peer_id), records
-            )
-            link.enqueue(msg.encode())
+        for pid, lock in self.locks.items():
+            with lock:
+                self.core.rewind(pid, peer_id)
 
     def _heartbeat_loop(self) -> None:
         while not self.stopped:
             time.sleep(HEARTBEAT_INTERVAL)
-            for pid, replica in self.replicas.items():
-                if replica.role != ROLE_LEADER:
-                    continue
-                with self.locks[pid]:
-                    for peer_id, link in self.peer_links.items():
-                        if replica.needs_commit_heartbeat(peer_id):
-                            msg = wire.AppendEntries(
-                                pid, replica.epoch,
-                                replica.commit_lsn_for_send(peer_id), [],
-                            )
-                            link.enqueue(msg.encode())
+            for pid, lock in self.locks.items():
+                with lock:
+                    self.core.ship(pid, heartbeat=True)
 
     # -- executors ----------------------------------------------------------------
 
@@ -336,7 +267,9 @@ class ServerNode:
             try:
                 item = q.get(timeout=0.1)
             except queue.Empty:
-                self._expire_blocked_reads(pid)
+                if self.blocked_reads[pid]:  # expire timed-out reads
+                    with self.locks[pid]:
+                        self._drain_blocked_reads(pid)
                 continue
             kind, payload = item
             if kind == "work":
@@ -346,37 +279,29 @@ class ServerNode:
             # queue holds items that will wake this loop after the dispatch.
             while replica.pending_exec:
                 with self.locks[pid]:
-                    replica.exec_batch()
-                    self._ship(pid)
-                    self._resolve_ready(pid)
+                    self.core.execute(pid)
 
-    def _resolve_ready(self, pid: int) -> None:
-        for obj in self.replicas[pid].ready_replies():
-            future = self.futures.pop((pid, obj.lsn), None)
-            if future is not None:
-                future.resolve(obj.result)
+    def _answer_read(self, pid: int, key: bytes, view_lsn: int, future: _Future) -> bool:
+        """Serve or reject a gated read; False when it must wait."""
+        value = self.core.read(pid, key, view_lsn)
+        if value is GATE_BLOCK:
+            return False
+        if value is GATE_REJECT:
+            future.fail(wire.ERR_REJECTED, "view lsn beyond log")
+        else:
+            future.resolve(value)
+        return True
 
     def _drain_blocked_reads(self, pid: int) -> None:
         still_blocked = []
-        replica = self.replicas[pid]
-        partition = self.store.partitions[pid]
         for blocked in self.blocked_reads[pid]:
-            decision = replica.read_gate(blocked.view_lsn)
-            if decision.action == GATE_SERVE:
-                blocked.future.resolve(partition.get(blocked.key))
-            elif decision.action == GATE_REJECT:
-                blocked.future.fail(wire.ERR_REJECTED, "view lsn beyond log")
-            elif time.monotonic() > blocked.deadline:
+            if self._answer_read(pid, blocked.key, blocked.view_lsn, blocked.future):
+                continue
+            if time.monotonic() > blocked.deadline:
                 blocked.future.fail(wire.ERR_TIMEOUT, "read gate timeout; retry")
             else:
                 still_blocked.append(blocked)
         self.blocked_reads[pid] = still_blocked
-
-    def _expire_blocked_reads(self, pid: int) -> None:
-        if not self.blocked_reads[pid]:
-            return
-        with self.locks[pid]:
-            self._drain_blocked_reads(pid)
 
     # -- client request handling ------------------------------------------------
 
@@ -394,14 +319,12 @@ class ServerNode:
             if msg_type == wire.MSG_RANGE:
                 start, end, limit = wire.decode_range(payload)
                 return self._client_read(
-                    None, lambda: wire.encode_range_result(
-                        self.store.range(start, end, limit or None)
-                    )
+                    lambda: wire.encode_range_result(self.store.range(start, end, limit or None))
                 )
             if msg_type == wire.MSG_BATCH_GET:
                 keys = wire.decode_batch_get(payload)
                 return self._client_read(
-                    None, lambda: wire.encode_batch_result(self.store.batch_get(keys))
+                    lambda: wire.encode_batch_result(self.store.batch_get(keys))
                 )
             if msg_type == wire.MSG_STATS:
                 return wire.encode_stats_result(self._stats_text())
@@ -409,26 +332,20 @@ class ServerNode:
                 pid = wire.decode_promote(payload)
                 return self._client_promote(pid)
             return wire.encode_err(wire.ERR_BAD_REQUEST, f"unknown type {msg_type:#x}")
-        except NotLeaderError as exc:
-            hint = exc.leader_hint or str(self.config.leader_node)
-            return wire.encode_err(wire.ERR_NOT_LEADER, f"not leader; try node {hint}")
+        except NotLeaderError:
+            return wire.encode_err(
+                wire.ERR_NOT_LEADER, f"not leader; try node {self.config.leader_node}"
+            )
         except LogStoreError as exc:
             return wire.encode_err(wire.ERR_INTERNAL, str(exc))
 
     def _client_modify(self, kind: int, key: bytes, value: bytes) -> bytes:
         pid = route(key, self.config.partitions)
-        replica = self.replicas[pid]
-        if replica.role != ROLE_LEADER:
-            return wire.encode_err(
-                wire.ERR_NOT_LEADER, f"not leader; try node {self.config.leader_node}"
-            )
         future = _Future()
         with self.locks[pid]:
-            if len(replica.pending_exec) >= self.config.queue_depth:
+            if len(self.replicas[pid].pending_exec) >= self.config.queue_depth:
                 return wire.encode_err(wire.ERR_BACKPRESSURE, "partition queue full; retry")
-            lsn = replica.dispatch(kind, key, value, token=future)
-            self.futures[(pid, lsn)] = future
-            self._ship(pid)  # replicate in parallel with local commit
+            lsn = self.core.write(pid, kind, key, value, future)
         try:
             self.queues[pid].put_nowait(("mod", None))
         except queue.Full:
@@ -443,21 +360,11 @@ class ServerNode:
 
     def _client_get(self, key: bytes, view_lsn: int) -> bytes:
         pid = route(key, self.config.partitions)
-        replica = self.replicas[pid]
         future = _Future()
 
         def work():
-            partition = self.store.partitions[pid]
             with self.locks[pid]:
-                if replica.role == ROLE_LEADER or view_lsn == 0:
-                    future.resolve(partition.get(key))
-                    return
-                decision = replica.read_gate(view_lsn)
-                if decision.action == GATE_SERVE:
-                    future.resolve(partition.get(key))
-                elif decision.action == GATE_REJECT:
-                    future.fail(wire.ERR_REJECTED, "view lsn beyond log")
-                else:
+                if not self._answer_read(pid, key, view_lsn, future):
                     self.blocked_reads[pid].append(
                         _BlockedRead(key, view_lsn, future,
                                      time.monotonic() + READ_GATE_TIMEOUT)
@@ -470,13 +377,15 @@ class ServerNode:
             return wire.encode_err(*future.error)
         return wire.encode_value(future.result)
 
-    def _client_read(self, _pid, fn) -> bytes:
+    def _client_read(self, fn) -> bytes:
         # cross-partition reads (range, batch-get) fan out through each
         # partition executor; serialized here per partition via the locks
         done = _Future()
 
         def work():
-            with _AllLocks(self.locks):
+            with ExitStack() as held:
+                for pid in sorted(self.locks):
+                    held.enter_context(self.locks[pid])
                 done.resolve(fn())
 
         first = next(iter(self.queues.values()))
@@ -486,15 +395,11 @@ class ServerNode:
         return done.result
 
     def _client_promote(self, pid: int) -> bytes:
-        replica = self.replicas[pid]
         peer_flushed = self._probe_peer_flushed(pid)
         with self.locks[pid]:
-            replica.promote(peer_flushed)
+            self.core.take_over(pid, peer_flushed)
         self.config.leader_node = self.config.node_id
-        self._start_heartbeat()
-        with self.locks[pid]:
-            self._ship(pid)
-        return wire.encode_ok(lsn=replica.state.flushed)
+        return wire.encode_ok(lsn=self.replicas[pid].state.flushed)
 
     def _probe_peer_flushed(self, pid: int) -> dict[int, int]:
         """Best-effort STATS probe of each peer; unreachable peers are skipped."""
@@ -528,15 +433,3 @@ class ServerNode:
             )
         return "\n".join(lines)
 
-
-class _AllLocks:
-    def __init__(self, locks: dict[int, threading.RLock]):
-        self.locks = [locks[k] for k in sorted(locks)]
-
-    def __enter__(self):
-        for lock in self.locks:
-            lock.acquire()
-
-    def __exit__(self, *exc):
-        for lock in reversed(self.locks):
-            lock.release()

@@ -3,20 +3,22 @@
 All correctness tests for replication run here: a seeded discrete-event
 transport with programmable delay, drop and duplication (FIFO per link, as a
 TCP connection would be), plus a simple executor-time model so pipelining and
-multi-partition parallelism are observable in simulated time.  Nodes run the
-real engine and replication logic and exchange real wire frames.
+multi-partition parallelism are observable in simulated time.  Each node
+drives the same `replication.ReplicationCore` the threaded server drives, over
+the real engine, and nodes exchange real wire frames.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from . import wire
-from .engine import Partition, Store, route
+from .engine import Store, route
 from .errors import ReadRejectedError
 from .replication import (
     GATE_BLOCK,
@@ -24,7 +26,8 @@ from .replication import (
     HEARTBEAT_INTERVAL,
     ROLE_FOLLOWER,
     ROLE_LEADER,
-    PartitionReplica,
+    ReplicationCore,
+    ReplyObject,
     freshness_score,
 )
 from .wal import KIND_DELETE, KIND_PUT
@@ -53,10 +56,6 @@ class SimTransport:
         self._seq = 0
         self.rng = random.Random(seed)
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
-
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (max(when, self.now), self._seq, fn))
@@ -82,27 +81,28 @@ class SimTicket:
     key: bytes
     value: bytes
     lsn: int = 0
-    partition: int = 0
-    submit_time: float = 0.0
-    reply_time: float = 0.0
     done: bool = False
     result: Any = None
 
 
 class SimNode:
-    def __init__(self, cluster: "SimCluster", node_id: int, store: Store):
+    """One simulated node: drives its replication core in simulated time."""
+
+    def __init__(self, cluster: "SimCluster", node_id: int, store: Store,
+                 role: str, peer_ids: list[int], max_batch: int):
         self.cluster = cluster
         self.node_id = node_id
         self.store = store
-        self.replicas: dict[int, PartitionReplica] = {}
+        self.core = ReplicationCore(
+            store, node_id, peer_ids, role, max_batch,
+            send=lambda peer, frame: cluster.send(node_id, peer, frame),
+            deliver=self._deliver,
+        )
+        self.replicas = self.core.replicas
         self.dead = False
         self.exec_busy: dict[int, float] = {}
         self.exec_scheduled: dict[int, bool] = {}
         self.hb_scheduled: dict[int, bool] = {}
-        self.tickets: dict[tuple[int, int], SimTicket] = {}  # (partition, lsn)
-
-    def replica(self, partition: int) -> PartitionReplica:
-        return self.replicas[partition]
 
     def handle_frame(self, src: int, frame: bytes) -> None:
         if self.dead:
@@ -111,62 +111,34 @@ class SimNode:
         if msg_type == wire.MSG_APPEND_ENTRIES:
             self._on_append_entries(src, wire.AppendEntries.decode(payload))
         elif msg_type in (wire.MSG_APPEND_ACK, wire.MSG_APPEND_NACK):
-            self._on_ack(wire.AppendAck.decode(payload, msg_type))
+            self.cluster.in_flight[(self.node_id, src)] -= 1
+            ack = wire.AppendAck.decode(payload, msg_type)
+            self.core.handle_ack(ack)
+            self.arm_heartbeat(ack.partition)
         else:  # pragma: no cover - no other frames cross the sim transport
             raise ValueError(f"unexpected frame type {msg_type:#x}")
 
-    # -- follower side ---------------------------------------------------
-
     def _on_append_entries(self, src: int, msg: wire.AppendEntries) -> None:
-        cluster = self.cluster
-        pid = msg.partition
-        replica = self.replicas[pid]
-        busy = self.exec_busy.get(pid, 0.0)
-        model = cluster.exec_model
-        start = max(cluster.transport.now, busy)
-        done = start + model.batch_overhead + len(msg.records) * model.per_record
-        self.exec_busy[pid] = done
-
+        """Follower side: the append takes executor time, then acks."""
         def apply() -> None:
-            if self.dead:
-                return
-            status, lsn = replica.handle_append_entries(
-                msg.epoch, msg.leader_commit_lsn, msg.records
-            )
-            ack = wire.AppendAck(
-                pid, replica.epoch, self.node_id, lsn,
-                wire.MSG_APPEND_ACK if status == "ack" else wire.MSG_APPEND_NACK,
-            )
-            cluster.send(self.node_id, src, ack.encode())
+            if not self.dead:
+                self.cluster.send(self.node_id, src, self.core.append(msg))
 
-        cluster.transport.schedule_at(done, apply)
+        self._run_on_executor(msg.partition, len(msg.records), apply)
 
-    # -- leader side -------------------------------------------------------
-
-    def _on_ack(self, msg: wire.AppendAck) -> None:
-        replica = self.replicas.get(msg.partition)
-        if replica is None or replica.role != ROLE_LEADER:
-            return
-        self.cluster.in_flight[(self.node_id, msg.node_id)] -= 1
-        if msg.msg_type == wire.MSG_APPEND_NACK:
-            replica.reset_peer_cursor(msg.node_id, msg.last_flushed_lsn)
-            self.kick_send(msg.partition)
-            return
-        replica.on_ack(msg.node_id, msg.last_flushed_lsn)
-        self.pump_replies(msg.partition)
-        self.kick_send(msg.partition)
+    def _run_on_executor(self, pid: int, records: int, fn: Callable[[], None]) -> None:
+        """Run `fn` once the partition's executor has served `records` records."""
+        model = self.cluster.exec_model
+        start = max(self.cluster.transport.now, self.exec_busy.get(pid, 0.0))
+        self.exec_busy[pid] = start + model.batch_overhead + records * model.per_record
+        self.cluster.transport.schedule_at(self.exec_busy[pid], fn)
 
     def submit(self, kind: int, key: bytes, value: bytes) -> SimTicket:
         pid = route(key, len(self.store.partitions))
-        replica = self.replicas[pid]
-        lsn = replica.dispatch(kind, key, value)
-        ticket = SimTicket(
-            kind, key, value, lsn=lsn, partition=pid,
-            submit_time=self.cluster.transport.now,
-        )
-        self.tickets[(pid, lsn)] = ticket
+        ticket = SimTicket(kind, key, value)
+        ticket.lsn = self.core.write(pid, kind, key, value, ticket)
         self.kick_executor(pid)
-        self.kick_send(pid)
+        self.arm_heartbeat(pid)
         return ticket
 
     def kick_executor(self, pid: int) -> None:
@@ -174,80 +146,37 @@ class SimNode:
         if self.exec_scheduled.get(pid) or not replica.pending_exec:
             return
         self.exec_scheduled[pid] = True
-        cluster = self.cluster
-        model = cluster.exec_model
-        start = max(cluster.transport.now, self.exec_busy.get(pid, 0.0))
         k = min(len(replica.pending_exec), replica.max_batch)
-        done = start + model.batch_overhead + k * model.per_record
-        self.exec_busy[pid] = done
 
         def finish() -> None:
             self.exec_scheduled[pid] = False
             if self.dead:
                 return
-            replica.exec_batch(k)
-            self.pump_replies(pid)
-            self.kick_send(pid)
+            self.core.execute(pid, k)
+            self.arm_heartbeat(pid)
             self.kick_executor(pid)
 
-        cluster.transport.schedule_at(done, finish)
+        self._run_on_executor(pid, k, finish)
 
-    def kick_send(self, pid: int) -> None:
-        """Send stage: ship every unsent record now; never waits for acks."""
-        if self.dead:
+    def arm_heartbeat(self, pid: int) -> None:
+        """Lazy heartbeat timer: one beat, scheduled only while one is owed."""
+        if self.hb_scheduled.get(pid) or not self.core.beat_owed(pid):
             return
-        replica = self.replicas[pid]
-        if replica.role != ROLE_LEADER:
-            return
-        for peer in replica.sent_to:
-            if self.cluster.nodes[peer].dead:
-                continue
-            records = replica.take_unsent(peer)
-            if records is None:
-                self._maybe_schedule_heartbeat(pid, peer)
-                continue
-            msg = wire.AppendEntries(
-                pid, replica.epoch, replica.commit_lsn_for_send(peer), records
-            )
-            self.cluster.in_flight[(self.node_id, peer)] += 1
-            self.cluster.note_in_flight(self.node_id, peer)
-            self.cluster.send(self.node_id, peer, msg.encode())
-
-    def _maybe_schedule_heartbeat(self, pid: int, peer: int) -> None:
-        replica = self.replicas[pid]
-        if not replica.needs_commit_heartbeat(peer):
-            return
-        key = pid
-        if self.hb_scheduled.get(key):
-            return
-        self.hb_scheduled[key] = True
+        self.hb_scheduled[pid] = True
 
         def beat() -> None:
-            self.hb_scheduled[key] = False
-            if self.dead or replica.role != ROLE_LEADER:
-                return
-            for p in replica.sent_to:
-                if self.cluster.nodes[p].dead:
-                    continue
-                if replica.needs_commit_heartbeat(p) and replica.take_unsent(p) is None:
-                    msg = wire.AppendEntries(
-                        pid, replica.epoch, replica.commit_lsn_for_send(p), []
-                    )
-                    self.cluster.in_flight[(self.node_id, p)] += 1
-                    self.cluster.send(self.node_id, p, msg.encode())
+            self.hb_scheduled[pid] = False
+            if not self.dead:
+                self.core.ship(pid, heartbeat=True)
 
-        self.cluster.transport.schedule(HEARTBEAT_INTERVAL, beat)
+        self.cluster.transport.schedule_at(self.cluster.transport.now + HEARTBEAT_INTERVAL, beat)
 
-    def pump_replies(self, pid: int) -> None:
-        replica = self.replicas[pid]
-        for obj in replica.ready_replies():
-            ticket = self.tickets.pop((pid, obj.lsn), None)
-            if ticket is not None:
-                ticket.done = True
-                ticket.reply_time = self.cluster.transport.now
-                ticket.result = obj.result
-            if self.cluster.on_reply is not None:
-                self.cluster.on_reply(self, pid, obj.lsn)
+    def _deliver(self, pid: int, reply: ReplyObject) -> None:
+        ticket = reply.token
+        ticket.done = True
+        ticket.result = reply.result
+        if self.cluster.on_reply is not None:
+            self.cluster.on_reply(self, pid, reply.lsn)
 
 
 class SimCluster:
@@ -272,12 +201,12 @@ class SimCluster:
         self.transport = SimTransport(seed)
         self.leader_map = {pid: leader_node for pid in range(partitions)}
         self.on_reply: Callable | None = None
-        self.in_flight: dict[tuple[int, int], int] = {}
-        self.max_in_flight: dict[tuple[int, int], int] = {}
+        # AppendEntries sent on each (src, dst) link and not yet answered
+        self.in_flight: Counter[tuple[int, int]] = Counter()
+        self.max_in_flight: Counter[tuple[int, int]] = Counter()
         self._link_clock: dict[tuple[int, int], float] = {}
         self.nodes: dict[int, SimNode] = {}
-        node_ids = list(range(nodes))
-        for nid in node_ids:
+        for nid in range(nodes):
             store = Store(
                 self.root_dir / f"node_{nid}",
                 partitions=partitions,
@@ -285,26 +214,19 @@ class SimCluster:
                 seed=seed + nid,
                 segment_bytes=segment_bytes,
             )
-            node = SimNode(self, nid, store)
-            for pid in range(partitions):
-                peers = [p for p in node_ids if p != nid]
-                role = ROLE_LEADER if nid == leader_node else ROLE_FOLLOWER
-                node.replicas[pid] = PartitionReplica(
-                    store.partitions[pid], nid, nodes,
-                    role=role, peer_ids=peers, max_batch=max_batch,
-                )
-            self.nodes[nid] = node
-        for a in node_ids:
-            for b in node_ids:
-                if a != b:
-                    self.in_flight[(a, b)] = 0
-                    self.max_in_flight[(a, b)] = 0
+            role = ROLE_LEADER if nid == leader_node else ROLE_FOLLOWER
+            peers = [p for p in range(nodes) if p != nid]
+            self.nodes[nid] = SimNode(self, nid, store, role, peers, max_batch)
 
     # -- transport glue ----------------------------------------------------
 
     def send(self, src: int, dst: int, frame: bytes) -> None:
         if self.nodes[src].dead or self.nodes[dst].dead:
             return
+        if frame[4] == wire.MSG_APPEND_ENTRIES:  # the frame's type byte
+            link = (src, dst)
+            self.in_flight[link] += 1
+            self.max_in_flight[link] = max(self.max_in_flight[link], self.in_flight[link])
         rng = self.transport.rng
         if self.link.drop_prob and rng.random() < self.link.drop_prob:
             return
@@ -319,11 +241,6 @@ class SimCluster:
             at = max(self.transport.now + delay, self._link_clock.get((src, dst), 0.0))
             self._link_clock[(src, dst)] = at
             self.transport.schedule_at(at, lambda f=frame: self.nodes[dst].handle_frame(src, f))
-
-    def note_in_flight(self, src: int, dst: int) -> None:
-        cur = self.in_flight[(src, dst)]
-        if cur > self.max_in_flight[(src, dst)]:
-            self.max_in_flight[(src, dst)] = cur
 
     # -- client operations ----------------------------------------------------
 
@@ -347,14 +264,13 @@ class SimCluster:
         """Follower read through the freshness gate; pumps while blocked."""
         node = self.nodes[node_id]
         pid = route(key, len(node.store.partitions))
-        replica = node.replicas[pid]
         deadline = self.transport.now + timeout
         while True:
-            decision = replica.read_gate(read_view_lsn)
-            if decision.action == GATE_REJECT:
+            value = node.core.read(pid, key, read_view_lsn)
+            if value is GATE_REJECT:
                 raise ReadRejectedError(f"view lsn {read_view_lsn} beyond log")
-            if decision.action != GATE_BLOCK:
-                return node.store.partitions[pid].get(key)
+            if value is not GATE_BLOCK:
+                return value
             if self.transport.now >= deadline or not self.transport.pending():
                 raise ReadRejectedError("read gate timeout")
             self.step()
@@ -374,7 +290,11 @@ class SimCluster:
         self.transport.run()
 
     def crash(self, node_id: int) -> None:
+        """Kill a node; the links to it drop, as TCP connections would."""
         self.nodes[node_id].dead = True
+        for node in self.nodes.values():
+            for pid in node.replicas:
+                node.core.rewind(pid, node_id)
 
     def promote(self, node_id: int, partition: int) -> None:
         node = self.nodes[node_id]
@@ -383,9 +303,9 @@ class SimCluster:
             for nid, other in self.nodes.items()
             if nid != node_id and not other.dead
         }
-        node.replicas[partition].promote(peer_flushed)
+        node.core.take_over(partition, peer_flushed)
         self.leader_map[partition] = node_id
-        node.kick_send(partition)
+        node.arm_heartbeat(partition)
 
     def freshness(self, partition: int, follower: int) -> float:
         leader = self.nodes[self.leader_map[partition]]

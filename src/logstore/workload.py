@@ -128,11 +128,6 @@ def analytic_zipf_top1(n: int, theta: float) -> float:
     return 1.0 / sum(1.0 / (i + 1) ** theta for i in range(n))
 
 
-def analytic_uniform_hit_ratio(cache_fraction: float) -> float:
-    """Steady-state hit ratio for uniform access with admit-on-miss."""
-    return min(1.0, cache_fraction)
-
-
 def chi_square_uniform(counts: list[int]) -> float:
     """Chi-square statistic against a uniform expectation."""
     total = sum(counts)

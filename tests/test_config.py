@@ -25,7 +25,6 @@ class TestParsing:
             cooling_fraction = 0.15
             flush_policy = record
             leader_node = 0
-            pin_executors = true
         """)
         cfg = NodeConfig.load(p)
         assert cfg.node_id == 1
@@ -34,7 +33,6 @@ class TestParsing:
         assert cfg.partitions == 4
         assert cfg.cooling_fraction == 0.15
         assert cfg.flush_policy == "record"
-        assert cfg.pin_executors is True
         assert cfg.addr_tuple() == ("127.0.0.1", 7401)
 
     def test_defaults_without_file(self):

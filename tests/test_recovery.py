@@ -177,7 +177,7 @@ class TestTornTail:
         positions = [p.apply_put(b"k%02d" % i, b"payload") for i in range(20)]
         p.flush()
         path = p.store.segment_path(0)
-        entry = p.index_entry(b"k05")
+        entry = p.index.get(b"k05")
         p.close()
         with open(path, "r+b") as f:
             f.seek(entry.position.offset + HEADER_LEN)

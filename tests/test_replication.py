@@ -1,8 +1,13 @@
 """Quorum replication: dispatch, acks, commit advance, read gate, promotion."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from logstore.engine import Partition
+import logstore
+from logstore import wire
+from logstore.engine import Partition, Store
 from logstore.errors import NotLeaderError, PromotionRefusedError
 from logstore.replication import (
     GATE_BLOCK,
@@ -12,6 +17,7 @@ from logstore.replication import (
     ROLE_LEADER,
     LsnState,
     PartitionReplica,
+    ReplicationCore,
     freshness_score,
 )
 from logstore.wal import KIND_DELETE, KIND_PUT, LogRecord
@@ -303,3 +309,125 @@ class TestPromotion:
         resend = f.take_unsent(2)
         assert [rec.lsn for rec in resend] == [2, 3]
         assert resend[0].value == b"v2"           # backfilled from its own log
+
+
+class TestSingleNodePrune:
+    def test_single_node_leader_frees_every_executed_op(self, tmp_path):
+        r = leader(tmp_path, cluster=1, peers=())
+        for i in range(1000):
+            r.dispatch(KIND_PUT, b"k%d" % i, b"v%d" % i)
+            if i % 10 == 9:
+                r.exec_batch()
+        r.exec_batch()
+        assert r.state.potential_commit == 1000
+        assert len(r.records) == 0
+
+
+class TestCoreWithoutTransport:
+    """Three cores wired by hand: every frame is passed on explicitly."""
+
+    def make(self, tmp_path):
+        self.wire = []       # (src, dst, frame) in send order
+        self.replies = []    # tokens of delivered replies
+        self.cores = {}
+        for nid in range(3):
+            role = ROLE_LEADER if nid == 0 else ROLE_FOLLOWER
+            self.cores[nid] = ReplicationCore(
+                Store(tmp_path / f"n{nid}"), nid, [p for p in range(3) if p != nid],
+                role, 64,
+                send=lambda peer, frame, nid=nid: self.wire.append((nid, peer, frame)),
+                deliver=lambda pid, reply: self.replies.append(reply.token),
+            )
+        return self.cores
+
+    def take(self, src, dst):
+        """Remove and return the oldest frame queued from src to dst."""
+        for i, (s, d, frame) in enumerate(self.wire):
+            if (s, d) == (src, dst):
+                del self.wire[i]
+                return frame
+        raise AssertionError(f"no frame from {src} to {dst}")
+
+    def pass_on(self, src, dst):
+        """Deliver the oldest frame from src to dst; a follower's answer is queued."""
+        msg_type, payload, _ = wire.decode_frame(self.take(src, dst))
+        if msg_type == wire.MSG_APPEND_ENTRIES:
+            self.wire.append((dst, src, self.cores[dst].append(
+                wire.AppendEntries.decode(payload))))
+        else:
+            self.cores[dst].handle_ack(wire.AppendAck.decode(payload, msg_type))
+        return msg_type
+
+    def test_reply_only_after_one_follower_ack(self, tmp_path):
+        cores = self.make(tmp_path)
+        lsn = cores[0].write(0, KIND_PUT, b"k", b"v", "t1")
+        assert lsn == 1
+        assert [(s, d) for s, d, _ in self.wire] == [(0, 1), (0, 2)]  # shipped at once
+        cores[0].execute(0)
+        assert self.replies == []            # durable on the leader alone
+        self.pass_on(0, 1)
+        assert cores[1].replicas[0].state.flushed == 1
+        assert self.replies == []            # the ack is still on the wire
+        assert self.pass_on(1, 0) == wire.MSG_APPEND_ACK
+        assert self.replies == ["t1"]
+        assert cores[0].replicas[0].state.potential_commit == 1
+
+    def test_gap_is_nacked_and_the_resend_fills_it(self, tmp_path):
+        cores = self.make(tmp_path)
+        for i in range(3):
+            cores[0].write(0, KIND_PUT, b"k%d" % i, b"v%d" % i, i)
+        cores[0].execute(0)
+        self.take(0, 1)                                  # lsn 1 is lost
+        self.pass_on(0, 1)                               # lsn 2: a gap
+        assert self.pass_on(1, 0) == wire.MSG_APPEND_NACK
+        # the nack rewound the cursor and shipped lsn 1..3 again, behind lsn 3
+        self.pass_on(0, 1)
+        assert self.pass_on(1, 0) == wire.MSG_APPEND_NACK  # lsn 3: still a gap
+        self.pass_on(0, 1)
+        assert self.pass_on(1, 0) == wire.MSG_APPEND_ACK
+        follower = cores[1].replicas[0]
+        assert follower.state.flushed == 3
+        assert follower.partition.get(b"k0") == b"v0"
+        assert sorted(self.replies) == [0, 1, 2]
+
+    def test_idle_heartbeat_carries_the_commit_point(self, tmp_path):
+        cores = self.make(tmp_path)
+        cores[0].write(0, KIND_PUT, b"k", b"v", "t")
+        cores[0].execute(0)
+        self.pass_on(0, 1)
+        self.pass_on(0, 2)
+        self.pass_on(1, 0)                   # quorum: commit point 1
+        self.pass_on(2, 0)
+        assert self.wire == []               # nothing left to ship
+        assert cores[1].replicas[0].state.potential_commit == 0
+        assert cores[0].beat_owed(0)
+        cores[0].ship(0, heartbeat=True)
+        assert [(s, d) for s, d, _ in self.wire] == [(0, 1), (0, 2)]
+        self.pass_on(0, 1)
+        self.pass_on(0, 2)
+        for nid in (1, 2):
+            assert cores[nid].replicas[0].state.potential_commit == 1
+            assert cores[nid].read(0, b"k", 1) == b"v"
+        assert not cores[0].beat_owed(0)
+        cores[0].ship(0, heartbeat=True)     # nothing new: no frame
+        assert [(s, d) for s, d, _ in self.wire] == [(1, 0), (2, 0)]  # the two acks
+
+
+class TestOneReplicationCore:
+    PROTOCOL_STEPS = {
+        "take_unsent", "on_ack", "reset_peer_cursor", "commit_lsn_for_send",
+        "needs_commit_heartbeat", "handle_append_entries", "exec_batch",
+        "ready_replies", "dispatch", "read_gate", "promote",
+    }
+
+    @pytest.mark.parametrize("module", ["server.py", "simnet.py"])
+    def test_server_and_simnet_call_no_replica_protocol_step(self, module):
+        """server.py and simnet.py reach the protocol only through ReplicationCore."""
+        path = Path(logstore.__file__).parent / module
+        calls = [
+            node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))
+        ]
+        assert self.PROTOCOL_STEPS.isdisjoint(calls), sorted(self.PROTOCOL_STEPS & set(calls))
