@@ -1,7 +1,10 @@
-"""Benchmark scenarios, each emitting a CSV with a fixed column set.
+"""Simulated-time cost-model scenarios, each emitting a CSV with a fixed
+column set.
 
-Scenarios run against either an embedded store or the simulated cluster so
-results are reproducible from a seed; nothing here touches real sockets.
+Both scenarios run the simulated cluster, so their times come from its link
+and executor cost model, not from this machine, and are reproducible from a
+seed; nothing here touches real sockets.  Wall-clock numbers come from
+perfbench, which runs real node processes.
 """
 
 from __future__ import annotations
@@ -9,12 +12,8 @@ from __future__ import annotations
 import csv
 import shutil
 import tempfile
-import time
 from pathlib import Path
 
-from .cache import POLICIES, CacheConfig
-from .engine import Store
-from .recovery import recover_store
 from .simnet import ExecModel, LinkConfig, SimCluster
 from .workload import WorkloadSpec, KeyGenerator, encode_key
 
@@ -37,7 +36,8 @@ def _writer(out_path: str, columns: list[str]):
 
 @scenario("write-scaling")
 def write_scaling(out_path: str, seed: int = 7, ops: int = 20_000) -> None:
-    """Sim-time write throughput as partition count grows, 3-node cluster."""
+    """Cost model: sim-time write throughput as partition count grows,
+    3-node cluster."""
     fh, w = _writer(out_path, ["partitions", "ops", "sim_seconds", "ops_per_sec"])
     base = Path(tempfile.mkdtemp(prefix="logstore-bench-"))
     try:
@@ -64,45 +64,10 @@ def write_scaling(out_path: str, seed: int = 7, ops: int = 20_000) -> None:
         fh.close()
 
 
-@scenario("cache-hitratio")
-def cache_hitratio(out_path: str, seed: int = 7, ops: int = 200_000) -> None:
-    """Hit ratio per policy across cache/working-set size ratios, both
-    uniform and zipfian key popularity."""
-    fh, w = _writer(out_path, ["policy", "distribution", "size_ratio", "hit_ratio"])
-    key_count = 20_000
-    value = b"v" * 1024
-    entry_bytes = 8 + len(value) + 64
-    try:
-        for dist in ("uniform", "zipfian"):
-            spec = WorkloadSpec(distribution=dist, key_max=key_count,
-                                put_pct=0, get_pct=100, delete_pct=0, seed=seed)
-            for ratio in (0.1, 0.2, 0.3, 0.4, 0.5):
-                capacity = int(key_count * ratio) * entry_bytes
-                for name, cls in POLICIES.items():
-                    cache = cls(CacheConfig(capacity_bytes=capacity), seed=seed)
-                    gen = KeyGenerator(spec)
-                    warm = ops // 2
-                    hits = reads = 0
-                    for i in range(ops):
-                        key = gen.next_key()
-                        got = cache.get(key)
-                        if i >= warm:
-                            reads += 1
-                            if got is not None:
-                                hits += 1
-                        if got is None:
-                            cache.admit(key, value, 1)
-                    w.writerow({"policy": name, "distribution": dist,
-                                "size_ratio": ratio,
-                                "hit_ratio": round(hits / reads, 4)})
-    finally:
-        fh.close()
-
-
 @scenario("freshness")
 def freshness(out_path: str, seed: int = 7, duration: float = 5.0) -> None:
-    """Follower freshness score sampled every 20 ms of sim time under a
-    steady write load."""
+    """Cost model: follower freshness score sampled every 20 ms of sim time
+    under a steady write load."""
     fh, w = _writer(out_path, ["time", "node", "partition", "freshness"])
     base = Path(tempfile.mkdtemp(prefix="logstore-bench-"))
     cluster = SimCluster(base, nodes=3, partitions=1, seed=seed,
@@ -125,64 +90,6 @@ def freshness(out_path: str, seed: int = 7, duration: float = 5.0) -> None:
         cluster.run_idle()
     finally:
         cluster.close()
-        shutil.rmtree(base, ignore_errors=True)
-        fh.close()
-
-
-@scenario("recovery")
-def recovery(out_path: str, seed: int = 7, records: int = 200_000) -> None:
-    """Restart time with and without an index checkpoint covering the log."""
-    fh, w = _writer(out_path, ["mode", "records", "replayed", "wall_seconds"])
-    base = Path(tempfile.mkdtemp(prefix="logstore-bench-"))
-    try:
-        for mode in ("checkpointed", "full-replay"):
-            data_dir = base / mode
-            store = Store(str(data_dir), partitions=1, seed=seed)
-            for i in range(records):
-                store.put(encode_key(i % (records // 10)), b"p" * 64)
-            if mode == "checkpointed":
-                store.checkpoint()
-            store.close()
-            start = time.perf_counter()
-            recovered = recover_store(str(data_dir), 1, seed=seed)
-            elapsed = time.perf_counter() - start
-            replayed = recovered.counters.records_replayed
-            recovered.close()
-            w.writerow({"mode": mode, "records": records, "replayed": replayed,
-                        "wall_seconds": round(elapsed, 4)})
-    finally:
-        shutil.rmtree(base, ignore_errors=True)
-        fh.close()
-
-
-@scenario("batchget-crossover")
-def batchget_crossover(out_path: str, seed: int = 7, live_keys: int = 20_000) -> None:
-    """Point-read vs sequential-scan cost as batch size crosses the
-    one-tenth-of-live-keys switchover."""
-    fh, w = _writer(out_path, ["batch_fraction", "batch_size", "strategy",
-                               "point_reads", "scan_records", "wall_seconds"])
-    base = Path(tempfile.mkdtemp(prefix="logstore-bench-"))
-    try:
-        store = Store(str(base), partitions=1, cache_bytes=4096, seed=seed)
-        for i in range(live_keys):
-            store.put(encode_key(i), b"b" * 256)
-        store.compact()
-        for frac in (0.02, 0.05, 0.09, 0.11, 0.2, 0.4):
-            size = int(live_keys * frac)
-            keys = [encode_key((j * 7919) % live_keys) for j in range(size)]
-            before_point = store.counters.log_point_reads
-            before_scan = store.counters.scan_records
-            start = time.perf_counter()
-            store.batch_get(keys)
-            elapsed = time.perf_counter() - start
-            points = store.counters.log_point_reads - before_point
-            scanned = store.counters.scan_records - before_scan
-            w.writerow({"batch_fraction": frac, "batch_size": size,
-                        "strategy": "scan" if scanned else "point",
-                        "point_reads": points, "scan_records": scanned,
-                        "wall_seconds": round(elapsed, 4)})
-        store.close()
-    finally:
         shutil.rmtree(base, ignore_errors=True)
         fh.close()
 

@@ -172,7 +172,7 @@ class TwoStageCache:
 
 
 class LruCache:
-    """Bench-only baseline; same surface as TwoStageCache."""
+    """Reference baseline for the cache tests; same surface as TwoStageCache."""
 
     name = "lru"
     _move_on_hit = True
@@ -241,10 +241,7 @@ class LruCache:
 
 
 class FifoCache(LruCache):
-    """Bench-only baseline: eviction in pure insertion order."""
+    """Reference baseline for the cache tests: eviction in pure insertion order."""
 
     name = "fifo"
     _move_on_hit = False
-
-
-POLICIES = {c.name: c for c in (TwoStageCache, LruCache, FifoCache)}

@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
                         "batchget K... | stats | promote P")
     p.set_defaults(fn=_cmd_cli)
 
-    p = sub.add_parser("bench", help="run a benchmark scenario")
+    p = sub.add_parser("bench", help="run a simulated-time cost-model scenario")
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--seed", type=int, default=7)

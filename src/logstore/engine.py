@@ -19,7 +19,7 @@ from .art import AdaptiveRadixTree, IndexEntry
 from .cache import CacheConfig, TwoStageCache
 from .errors import LogStoreError
 from .metrics import Counters
-from .wal import KIND_DELETE, KIND_PUT, LogPosition, SegmentStore
+from .wal import KIND_DELETE, KIND_PUT, SegmentStore
 
 BATCH_SCAN_FRACTION = 1 / 10  # batch reads above this live-key fraction use a scan
 
@@ -140,10 +140,6 @@ class Partition:
         self.cache.admit(key, record.value, entry.version_lsn)
         return record.value
 
-    def range(self, start: bytes, end: bytes, limit: int | None = None) -> list[tuple[bytes, bytes]]:
-        return [(entry.key, self.value_of(entry))
-                for entry in self.index.range(start, end, limit)]
-
     def value_of(self, entry: IndexEntry) -> bytes:
         """The value an index entry points at: from the cache, else one log read."""
         cached = self.cache.get(entry.key)
@@ -197,7 +193,7 @@ class Partition:
         if not sealed:
             return False
         old_sorted = self.store.sorted_ids()
-        _meta, remap, _covered = self.store.compact_merge(old_sorted, sealed)
+        _meta, remap = self.store.compact_merge(old_sorted, sealed)
         for key, (position, lsn) in remap.items():
             self.index.reposition(key, position, lsn)
         self.checkpoint()
@@ -226,7 +222,12 @@ class Partition:
 
 
 class Store:
-    """A set of partitions behind stable key routing (single node view)."""
+    """A set of partitions behind stable key routing (single node view).
+
+    Opening a store recovers each partition from its directory, so a
+    reopened store serves what it held and continues its LSNs; a new
+    directory gives an empty store.
+    """
 
     def __init__(
         self,
@@ -239,10 +240,12 @@ class Store:
         segment_bytes: int = wal.DEFAULT_SEGMENT_BYTES,
         check_owner: bool = False,
     ):
+        from . import recovery
+
         self.root_dir = Path(root_dir)
         self.counters = Counters()
         self.partitions = [
-            Partition(
+            recovery.recover_partition(
                 pid,
                 self.root_dir / f"partition_{pid}",
                 counters=self.counters,
@@ -252,7 +255,7 @@ class Store:
                 flush_policy=flush_policy,
                 segment_bytes=segment_bytes,
                 check_owner=check_owner,
-            )
+            )[0]
             for pid in range(partitions)
         ]
 

@@ -1,20 +1,18 @@
 """Instrumentation counters.
 
-Every byte that reaches disk is attributed to exactly one category here,
-which is what lets tests prove the write-once property: the only durable
-bytes are log records, index snapshots, and the (tiny) manifest.
+Every byte of data that reaches disk is counted in exactly one category
+here, which is what lets tests prove the write-once property: besides the
+(tiny, uncounted) manifest, the only durable bytes are log records, appended
+or compacted, and index snapshots.
 """
 
 
 class Counters:
     __slots__ = (
-        "record_bytes",       # bytes of serialized log records (appends + compaction output)
-        "append_bytes",       # subset of record_bytes written through append()
-        "compaction_bytes",   # subset of record_bytes written by compaction
+        "append_bytes",       # serialized log records written through append()
+        "compaction_bytes",   # serialized log records written by compaction
         "snapshot_bytes",     # index snapshot files
-        "manifest_bytes",     # MANIFEST rewrites
         "log_point_reads",    # positioned read_at() calls
-        "scan_records",       # records decoded by sequential scans
         "seq_scans",          # number of sequential scan passes
         "group_flushes",      # flush() calls that synced the active segment
         "fsyncs",             # file syncs issued

@@ -15,7 +15,6 @@ from . import wal
 from .art import AdaptiveRadixTree
 from .engine import Partition, Store
 from .errors import SnapshotCorruptError
-from .metrics import Counters
 from .wal import KIND_PUT, TailReport
 
 _SNAP_RE = re.compile(r"^p(\d+)_snap_(\d+)\.idx$")
@@ -120,16 +119,7 @@ def recover_partition(
     return partition, report
 
 
-def recover_store(root_dir: Path | str, partitions: int, **partition_kwargs) -> Store:
-    """Recover every partition under `root_dir` (they are independent)."""
-    store = Store.__new__(Store)
-    store.root_dir = Path(root_dir)
-    store.counters = partition_kwargs.pop("counters", None) or Counters()
-    store.partitions = []
-    for pid in range(partitions):
-        partition, _ = recover_partition(
-            pid, store.root_dir / f"partition_{pid}",
-            counters=store.counters, **partition_kwargs
-        )
-        store.partitions.append(partition)
-    return store
+def recover_store(root_dir: Path | str, partitions: int, **store_kwargs) -> Store:
+    """Recover every partition under `root_dir` (they are independent);
+    the same as opening `Store(root_dir, partitions, **store_kwargs)`."""
+    return Store(root_dir, partitions, **store_kwargs)

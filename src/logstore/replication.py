@@ -47,11 +47,6 @@ class LsnState:
 
 
 @dataclass
-class ReadDecision:
-    action: str
-
-
-@dataclass
 class PendingOp:
     lsn: int
     kind: int
@@ -274,17 +269,18 @@ class PartitionReplica:
             self.state.replayed = self.state.potential_commit
         return "ack", self.state.flushed
 
-    def read_gate(self, read_view_lsn: int) -> ReadDecision:
-        """Follower read admission for a client-provided view LSN."""
+    def read_gate(self, read_view_lsn: int) -> str:
+        """Follower read admission for a client-provided view LSN: one of
+        GATE_SERVE, GATE_BLOCK or GATE_REJECT."""
         st = self.state
         if read_view_lsn > st.flushed:
-            return ReadDecision(GATE_REJECT)
+            return GATE_REJECT
         if read_view_lsn < st.replayed:
-            return ReadDecision(GATE_SERVE)
+            return GATE_SERVE
         if read_view_lsn <= st.potential_commit:
             st.replayed = st.potential_commit  # zero-cost "replay"
-            return ReadDecision(GATE_SERVE)
-        return ReadDecision(GATE_BLOCK)
+            return GATE_SERVE
+        return GATE_BLOCK
 
     # ------------------------------------------------------------------
     # promotion
@@ -408,10 +404,15 @@ class ReplicationCore:
         )
 
     def rewind(self, pid: int, peer: int) -> None:
-        """The link to `peer` dropped: resend everything it has not acked."""
+        """The link to `peer` dropped: resend everything it has not acked.
+
+        The peer may come back as a restarted process that has not heard the
+        commit point, so the next heartbeat carries it again.
+        """
         replica = self.replicas[pid]
         if replica.role == ROLE_LEADER:
             replica.reset_peer_cursor(peer, replica.hwm.get(peer, 0) + 1)
+            replica.last_sent_commit[peer] = 0
 
     def read(self, pid: int, key: bytes, view_lsn: int) -> Any:
         """Gated read: the value, or GATE_BLOCK / GATE_REJECT in its place.
@@ -420,7 +421,7 @@ class ReplicationCore:
         """
         replica = self.replicas[pid]
         if view_lsn and replica.role != ROLE_LEADER:
-            action = replica.read_gate(view_lsn).action
+            action = replica.read_gate(view_lsn)
             if action != GATE_SERVE:
                 return action
         return replica.partition.get(key)

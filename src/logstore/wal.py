@@ -4,7 +4,8 @@ Records are framed with a fixed little-endian header
 [lsn u64 | kind u8 | key_len u32 | val_len u32 | crc32 u32] followed by the
 key and value bytes, so a positioned read needs exactly one IO.  Segments are
 either the single active one, sealed-unsorted, or sorted (compaction output,
-ascending key order, at most one record per key).
+ascending key order, at most one record per key).  Every segment file holds
+records only: the in-memory index is the one index over them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -38,9 +39,6 @@ STATE_SEALED_UNSORTED = "sealed_unsorted"
 STATE_SORTED = "sorted"
 
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
-SPARSE_DIRECTORY_STRIDE = 64
-
-_DIR_MAGIC = 0x4C534449  # "LSDI"
 
 
 class LogPosition(NamedTuple):
@@ -110,10 +108,7 @@ class SegmentMeta:
     state: str
     min_lsn: int = 0
     max_lsn: int = 0
-    record_count: int = 0
-    file_size: int = 0
-    data_size: int = 0        # record region size; sorted segments carry a directory footer
-    covered_lsn: int = 0      # sorted segments: max input LSN of the compaction that made it
+    data_size: int = 0        # bytes of records in the file
 
     def to_json(self) -> dict:
         return {
@@ -121,10 +116,7 @@ class SegmentMeta:
             "state": self.state,
             "min_lsn": self.min_lsn,
             "max_lsn": self.max_lsn,
-            "record_count": self.record_count,
-            "file_size": self.file_size,
             "data_size": self.data_size,
-            "covered_lsn": self.covered_lsn,
         }
 
     @classmethod
@@ -197,7 +189,6 @@ class SegmentStore:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, self._manifest_path())
-        self.counters.manifest_bytes += len(payload)
 
     def _load_manifest(self) -> None:
         with open(self._manifest_path(), "rb") as f:
@@ -214,11 +205,9 @@ class SegmentStore:
             self._write_manifest()
         else:
             # The manifest entry for the active segment is only rewritten at
-            # rotation, so after a crash its sizes are stale; trust the file.
+            # rotation, so after a crash its size is stale; trust the file.
             meta = self.active_meta
-            actual = self.segment_path(self._active_id).stat().st_size
-            meta.file_size = actual
-            meta.data_size = actual
+            meta.data_size = self.segment_path(self._active_id).stat().st_size
             self._open_active_for_append()
         # last_lsn for the active segment is only re-established by the
         # recovery tail scan (set_last_lsn); sealed metas are authoritative.
@@ -265,7 +254,7 @@ class SegmentStore:
             raise LsnGapError(f"lsn {lsn} does not follow {self._last_lsn}")
         buf = encode_record(lsn, kind, key, value)
         meta = self.active_meta
-        offset = meta.file_size
+        offset = meta.data_size
         try:
             self._active_f.write(buf)
             self._active_f.flush()
@@ -277,13 +266,10 @@ class SegmentStore:
             self.counters.fsyncs += 1
         self._dirty_since_flush = True
         self._last_lsn = lsn
-        meta.file_size += len(buf)
-        meta.data_size = meta.file_size
-        meta.record_count += 1
+        meta.data_size += len(buf)
         meta.max_lsn = lsn
         if meta.min_lsn == 0:
             meta.min_lsn = lsn
-        self.counters.record_bytes += len(buf)
         self.counters.append_bytes += len(buf)
         return LogPosition(self._active_id, offset)
 
@@ -298,7 +284,7 @@ class SegmentStore:
         self._dirty_since_flush = False
 
     def should_rotate(self) -> bool:
-        return self.active_meta.file_size >= self.segment_bytes
+        return self.active_meta.data_size >= self.segment_bytes
 
     def seal_and_rotate(self) -> SegmentMeta:
         meta = self.active_meta
@@ -367,7 +353,6 @@ class SegmentStore:
         self.counters.seq_scans += 1
         while offset < len(buf):
             record, consumed = decode_record(buf, offset)
-            self.counters.scan_records += 1
             yield record, LogPosition(segment_id, offset)
             offset += consumed
 
@@ -394,10 +379,13 @@ class SegmentStore:
         if self._active_f is not None:
             self._active_f.flush()
         for idx, sid in enumerate(ids):
-            path = self.segment_path(sid)
-            with open(path, "rb") as f:
+            # read from the cursor on; `base` turns buffer offsets back into
+            # file offsets
+            base = start_offset if sid == start_segment else 0
+            with open(self.segment_path(sid), "rb") as f:
+                f.seek(base)
                 buf = f.read()
-            offset = start_offset if sid == start_segment else 0
+            offset = 0
             is_last = idx == len(ids) - 1
             meta = self.segments[sid]
             while offset < len(buf):
@@ -407,11 +395,11 @@ class SegmentStore:
                     if is_last and _frame_reaches_eof(buf, offset):
                         report.torn = True
                         report.torn_segment = sid
-                        report.torn_offset = offset
+                        report.torn_offset = base + offset
                         return report
                     raise
                 if record.lsn >= start_lsn:
-                    handler(record, LogPosition(sid, offset))
+                    handler(record, LogPosition(sid, base + offset))
                     report.records_read += 1
                     self.counters.records_replayed += 1
                 report.last_valid_lsn = max(report.last_valid_lsn, record.lsn)
@@ -431,9 +419,7 @@ class SegmentStore:
         with open(path, "r+b") as f:
             f.truncate(offset)
         meta = self.segments[sid]
-        meta.file_size = offset
         meta.data_size = offset
-        # record_count / lsn bounds are rebuilt by the recovery scan
         if meta.state == STATE_ACTIVE:
             self._open_active_for_append()
         self._write_manifest()
@@ -444,58 +430,49 @@ class SegmentStore:
         self,
         sorted_segment_ids: Iterable[int],
         sealed_unsorted_ids: Iterable[int],
-    ) -> tuple[SegmentMeta | None, dict[bytes, tuple[LogPosition, int]], int]:
+    ) -> tuple[SegmentMeta | None, dict[bytes, tuple[LogPosition, int]]]:
         """Merge inputs into one new sorted segment.
 
         Keeps, per key, only the record with the highest LSN; keys whose
         newest record is a Delete are dropped.  Returns (new segment meta,
-        {key -> (position, lsn)} remap, covered_lsn).  All-or-nothing: on IO
-        failure the inputs stay untouched.  Input removal is the caller's
-        job (after the remap and a covering checkpoint have been applied).
+        {key -> (position, lsn)} remap).  All-or-nothing: on IO failure the
+        inputs stay untouched.  Input removal is the caller's job (after the
+        remap and a covering checkpoint have been applied).
         """
         inputs = list(sorted_segment_ids) + list(sealed_unsorted_ids)
         best: dict[bytes, LogRecord] = {}
-        covered_lsn = 0
         for sid in inputs:
             meta = self.segments[sid]
             if meta.state == STATE_ACTIVE:
                 raise ValueError("compaction inputs must be sealed")
             for record, _pos in self.scan_segment(sid):
-                covered_lsn = max(covered_lsn, record.lsn)
                 cur = best.get(record.key)
                 if cur is None or record.lsn > cur.lsn:
                     best[record.key] = record
         live = [r for _, r in sorted(best.items()) if r.kind == KIND_PUT]
         if not live:
-            return None, {}, covered_lsn
+            return None, {}
 
         sid = self.next_segment_id
         self.next_segment_id += 1
         path = self.segment_path(sid)
         tmp = path.with_suffix(".tmp")
         remap: dict[bytes, tuple[LogPosition, int]] = {}
-        directory: list[tuple[bytes, int]] = []
         try:
             with open(tmp, "wb") as f:
                 offset = 0
                 min_lsn = live[0].lsn
                 max_lsn = 0
-                for i, record in enumerate(live):
+                for record in live:
                     buf = encode_record(record.lsn, record.kind, record.key, record.value)
                     f.write(buf)
                     remap[record.key] = (LogPosition(sid, offset), record.lsn)
-                    if i % SPARSE_DIRECTORY_STRIDE == 0:
-                        directory.append((record.key, offset))
                     min_lsn = min(min_lsn, record.lsn)
                     max_lsn = max(max_lsn, record.lsn)
                     offset += len(buf)
-                    self.counters.record_bytes += len(buf)
                     self.counters.compaction_bytes += len(buf)
-                data_size = offset
-                f.write(_encode_directory(directory))
                 f.flush()
                 os.fsync(f.fileno())
-                file_size = f.tell()
         except OSError:
             tmp.unlink(missing_ok=True)
             raise
@@ -505,14 +482,11 @@ class SegmentStore:
             state=STATE_SORTED,
             min_lsn=min_lsn,
             max_lsn=max_lsn,
-            record_count=len(live),
-            file_size=file_size,
-            data_size=data_size,
-            covered_lsn=covered_lsn,
+            data_size=offset,
         )
         self.segments[sid] = meta
         self._write_manifest()
-        return meta, remap, covered_lsn
+        return meta, remap
 
     def remove_segments(self, segment_ids: Iterable[int]) -> None:
         for sid in segment_ids:
@@ -533,37 +507,3 @@ class SegmentStore:
         for f in self._read_handles.values():
             f.close()
         self._read_handles.clear()
-
-
-def _encode_directory(entries: list[tuple[bytes, int]]) -> bytes:
-    """Sparse key directory footer for sorted segments."""
-    parts = []
-    for key, offset in entries:
-        parts.append(struct.pack("<I", len(key)))
-        parts.append(key)
-        parts.append(struct.pack("<Q", offset))
-    body = b"".join(parts)
-    footer = struct.pack("<III", _DIR_MAGIC, len(entries), len(body))
-    return body + footer
-
-
-def read_directory(path: Path) -> list[tuple[bytes, int]]:
-    """Read the sparse key directory from a sorted segment file."""
-    with open(path, "rb") as f:
-        f.seek(-12, os.SEEK_END)
-        magic, count, body_len = struct.unpack("<III", f.read(12))
-        if magic != _DIR_MAGIC:
-            raise CorruptRecordError("missing directory footer")
-        f.seek(-(12 + body_len), os.SEEK_END)
-        body = f.read(body_len)
-    entries = []
-    offset = 0
-    for _ in range(count):
-        (key_len,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        key = body[offset:offset + key_len]
-        offset += key_len
-        (rec_offset,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        entries.append((key, rec_offset))
-    return entries

@@ -6,7 +6,6 @@ the index.
 
 from __future__ import annotations
 
-import math
 import random
 import struct
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ class ZipfianGenerator:
         self.n = n
         self.theta = theta
         self.rng = rng if rng is not None else random.Random()
-        self.zetan = sum(1.0 / (i + 1) ** theta for i in range(n))
+        self.zetan = zeta(n, theta)
         self.zeta2 = 1.0 + 2.0 ** -theta
         self.alpha = 1.0 / (1.0 - theta)
         self.eta = (1.0 - (2.0 / n) ** (1.0 - theta)) / (1.0 - self.zeta2 / self.zetan)
@@ -125,7 +124,7 @@ def _vary(value: bytes, i: int) -> bytes:
 
 def analytic_zipf_top1(n: int, theta: float) -> float:
     """Exact probability mass of the most popular key."""
-    return 1.0 / sum(1.0 / (i + 1) ** theta for i in range(n))
+    return 1.0 / zeta(n, theta)
 
 
 def chi_square_uniform(counts: list[int]) -> float:
@@ -137,10 +136,3 @@ def chi_square_uniform(counts: list[int]) -> float:
 
 def zeta(n: int, theta: float) -> float:
     return sum(1.0 / (i + 1) ** theta for i in range(n))
-
-
-def percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return math.nan
-    idx = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[idx]

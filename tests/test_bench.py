@@ -14,10 +14,7 @@ def rows(path):
 
 class TestScenarios:
     def test_registry_is_complete(self):
-        assert set(bench.SCENARIOS) == {
-            "write-scaling", "cache-hitratio", "freshness",
-            "recovery", "batchget-crossover",
-        }
+        assert set(bench.SCENARIOS) == {"write-scaling", "freshness"}
 
     def test_unknown_scenario_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -38,27 +35,3 @@ class TestScenarios:
         assert all(0.0 <= float(r["freshness"]) <= 1.0 for r in data)
         # sampled every 20 ms for two followers
         assert len(data) == 2 * len({r["time"] for r in data})
-
-    def test_recovery_schema(self, tmp_path):
-        out = str(tmp_path / "rec.csv")
-        bench.recovery(out, seed=1, records=5000)
-        data = {r["mode"]: r for r in rows(out)}
-        assert set(data) == {"checkpointed", "full-replay"}
-        assert int(data["checkpointed"]["replayed"]) == 0
-        assert int(data["full-replay"]["replayed"]) == 5000
-
-    def test_batchget_crossover_schema(self, tmp_path):
-        out = str(tmp_path / "bg.csv")
-        bench.batchget_crossover(out, seed=1, live_keys=2000)
-        data = rows(out)
-        strategies = {float(r["batch_fraction"]): r["strategy"] for r in data}
-        assert strategies[0.09] == "point"
-        assert strategies[0.11] == "scan"
-
-    def test_cache_hitratio_schema(self, tmp_path):
-        out = str(tmp_path / "ch.csv")
-        bench.cache_hitratio(out, seed=1, ops=4000)
-        data = rows(out)
-        assert {r["policy"] for r in data} == {"twostage", "lru", "fifo"}
-        assert {r["distribution"] for r in data} == {"uniform", "zipfian"}
-        assert len(data) == 2 * 5 * 3

@@ -55,7 +55,7 @@ class TestBenchCommand:
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         # smallest scenario invocation that exercises the full path
-        rc = main(["bench", "--scenario", "batchget-crossover",
+        rc = main(["bench", "--scenario", "freshness",
                    "--out", str(out), "--seed", "3"])
         assert rc == 0
-        assert out.exists() and out.read_text().startswith("batch_fraction,")
+        assert out.exists() and out.read_text().startswith("time,")

@@ -89,6 +89,19 @@ class TestReadWritePath:
         assert p.get(b"k") is None
         p.close()
 
+    def test_reopen_reads_back_and_continues_lsns(self, tmp_path):
+        store = Store(tmp_path)
+        for i in range(5):
+            store.put(b"k%d" % i, b"v%d" % i)
+        store.close()
+        store = Store(tmp_path)
+        for i in range(5):
+            assert store.get(b"k%d" % i) == b"v%d" % i
+        assert store.put(b"k5", b"v5") == (0, 6)
+        lsns = [record.lsn for record, _ in store.partitions[0].store.scan_all()]
+        assert sorted(lsns) == [1, 2, 3, 4, 5, 6]  # no LSN written twice
+        store.close()
+
     def test_range_merges_across_partitions(self, tmp_path):
         store = Store(tmp_path, partitions=4)
         for i in range(100):

@@ -9,6 +9,7 @@ import logstore
 from logstore import wire
 from logstore.engine import Partition, Store
 from logstore.errors import NotLeaderError, PromotionRefusedError
+from logstore.recovery import recover_store
 from logstore.replication import (
     GATE_BLOCK,
     GATE_REJECT,
@@ -247,24 +248,23 @@ class TestReadGate:
 
     def test_older_than_replayed_serves(self, tmp_path):
         f = self.make(tmp_path, flushed=12, pc=10, replayed=10)
-        assert f.read_gate(5).action == GATE_SERVE
+        assert f.read_gate(5) == GATE_SERVE
 
     def test_between_replayed_and_commit_serves_after_advance(self, tmp_path):
         f = self.make(tmp_path, flushed=12, pc=10, replayed=8)
-        assert f.read_gate(9).action == GATE_SERVE
+        assert f.read_gate(9) == GATE_SERVE
         assert f.state.replayed == 10
 
     def test_beyond_commit_blocks(self, tmp_path):
         f = self.make(tmp_path, flushed=12, pc=10, replayed=10)
-        decision = f.read_gate(11)
-        assert decision.action == GATE_BLOCK
+        assert f.read_gate(11) == GATE_BLOCK
         # once the commit point catches up the same view is servable
         f.state.potential_commit = 11
-        assert f.read_gate(11).action == GATE_SERVE
+        assert f.read_gate(11) == GATE_SERVE
 
     def test_beyond_flushed_rejects(self, tmp_path):
         f = self.make(tmp_path, flushed=12, pc=10, replayed=10)
-        assert f.read_gate(13).action == GATE_REJECT
+        assert f.read_gate(13) == GATE_REJECT
 
     def test_state_ordering_invariant(self, tmp_path):
         with pytest.raises(Exception):
@@ -411,6 +411,31 @@ class TestCoreWithoutTransport:
         assert not cores[0].beat_owed(0)
         cores[0].ship(0, heartbeat=True)     # nothing new: no frame
         assert [(s, d) for s, d, _ in self.wire] == [(1, 0), (2, 0)]  # the two acks
+
+    def test_restarted_follower_hears_the_commit_point(self, tmp_path):
+        cores = self.make(tmp_path)
+        cores[0].write(0, KIND_PUT, b"k", b"v", "t")
+        cores[0].execute(0)
+        for nid in (1, 2):
+            self.pass_on(0, nid)
+            self.pass_on(nid, 0)
+        cores[0].ship(0, heartbeat=True)
+        for nid in (1, 2):
+            self.pass_on(0, nid)
+            self.pass_on(nid, 0)
+        assert cores[1].replicas[0].state.potential_commit == 1
+        # follower 1 restarts from its directory and has lost the commit point
+        cores[1].replicas[0].partition.close()
+        cores[1] = ReplicationCore(
+            recover_store(tmp_path / "n1", 1), 1, [0, 2], ROLE_FOLLOWER, 64,
+            send=lambda peer, frame: self.wire.append((1, peer, frame)),
+            deliver=lambda pid, reply: self.replies.append(reply.token),
+        )
+        assert cores[1].read(0, b"k", 1) == GATE_BLOCK
+        cores[0].rewind(0, 1)                # the leader's link to it dropped
+        cores[0].ship(0, heartbeat=True)
+        self.pass_on(0, 1)
+        assert cores[1].read(0, b"k", 1) == b"v"
 
 
 class TestOneReplicationCore:

@@ -16,7 +16,6 @@ from logstore.wal import (
     SegmentStore,
     decode_record,
     encode_record,
-    read_directory,
     record_size,
 )
 
@@ -202,7 +201,7 @@ class TestCompaction:
         expected = self.oracle(store)
         store.seal_and_rotate()
         sealed = [sid for sid, m in store.segments.items() if m.state == "sealed_unsorted"]
-        meta, remap, covered = store.compact_merge(store.sorted_ids(), sealed)
+        meta, remap = store.compact_merge(store.sorted_ids(), sealed)
         got = {}
         for record, _ in store.scan_segment(meta.segment_id):
             assert record.kind == KIND_PUT  # tombstones dropped
@@ -218,7 +217,7 @@ class TestCompaction:
         expected = self.oracle(store)
         store.seal_and_rotate()
         sealed = [sid for sid, m in store.segments.items() if m.state == "sealed_unsorted"]
-        _, remap, _ = store.compact_merge(store.sorted_ids(), sealed)
+        _, remap = store.compact_merge(store.sorted_ids(), sealed)
         for key, (pos, _lsn) in remap.items():
             assert store.read_at(pos).value == expected[key]
         store.close()
@@ -232,19 +231,6 @@ class TestCompaction:
         store.compact_merge(store.sorted_ids(), sealed)
         assert store.counters.append_bytes == appended  # user-write bytes unchanged
         assert store.counters.compaction_bytes > 0
-        store.close()
-
-    def test_sorted_segment_directory(self, tmp_path):
-        store = make_store(tmp_path)
-        for i in range(200):
-            store.append(KIND_PUT, b"k%04d" % i, b"v", i + 1)
-        store.seal_and_rotate()
-        sealed = [sid for sid, m in store.segments.items() if m.state == "sealed_unsorted"]
-        meta, _, _ = store.compact_merge([], sealed)
-        entries = read_directory(store.segment_path(meta.segment_id))
-        # one directory entry per 64 records
-        assert len(entries) == (200 + 63) // 64
-        assert [k for k, _ in entries] == sorted(k for k, _ in entries)
         store.close()
 
 
@@ -286,6 +272,33 @@ class TestTailReplay:
         reopened.flush()
         clean = reopened.replay_tail(lambda r, p: None)
         assert not clean.torn and clean.last_valid_lsn == 10
+        reopened.close()
+
+    def test_torn_frame_after_mid_segment_cursor(self, tmp_path):
+        store = make_store(tmp_path)
+        for i in range(20):
+            store.append(KIND_PUT, b"k%02d" % i, b"payload", i + 1)
+        cursor = store.active_meta.data_size
+        for i in range(20, 30):
+            store.append(KIND_PUT, b"k%02d" % i, b"payload", i + 1)
+        store.flush()
+        path = store.segment_path(store.active_meta.segment_id)
+        store.close()
+        size = path.stat().st_size
+        with open(path, "r+b") as f:
+            f.truncate(size - 3)  # tear the last frame
+        torn_at = size - record_size(b"k29", b"payload")
+
+        reopened = make_store(tmp_path)
+        seen = []
+        report = reopened.replay_tail(lambda r, p: seen.append((r.lsn, p.offset)),
+                                      start_segment=0, start_offset=cursor)
+        assert [lsn for lsn, _ in seen] == list(range(21, 30))
+        assert seen[0][1] == cursor          # positions are file offsets
+        assert report.torn and report.torn_segment == 0
+        assert report.torn_offset == torn_at
+        reopened.truncate_torn_tail(report)
+        assert path.stat().st_size == torn_at
         reopened.close()
 
     def test_mid_log_corruption_raises(self, tmp_path):
