@@ -7,6 +7,7 @@ log written after that cursor — index maintenance only, no data redo.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from pathlib import Path
@@ -77,33 +78,42 @@ def recover_partition(
         else:
             index.remove(record.key)
 
-    last_included = 0
-    report: TailReport | None = None
-    for lsn, path in list_snapshots(Path(data_dir), partition_id):
-        try:
-            with open(path, "rb") as f:
-                tree, snap_lsn, (cur_seg, cur_off) = AdaptiveRadixTree.snapshot_load(f)
-        except (SnapshotCorruptError, OSError):
-            continue
-        cursor_meta = store.segments.get(cur_seg)
-        if cursor_meta is None or cursor_meta.state == wal.STATE_SORTED:
-            # the cursor segment is gone (e.g. compacted away after an even
-            # newer snapshot was lost); this snapshot cannot anchor a tail
-            continue
-        partition.index = index = tree
-        last_included = snap_lsn
-        report = store.replay_tail(
-            replay, start_segment=cur_seg, start_offset=cur_off
-        )
-        break
+    # the rebuild allocates an object per index node and entry but makes no
+    # cycles, so the cyclic collector's passes over them free nothing and
+    # grow with the heap: pause it, then restore the caller's setting
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        last_included = 0
+        report: TailReport | None = None
+        for lsn, path in list_snapshots(Path(data_dir), partition_id):
+            try:
+                with open(path, "rb") as f:
+                    tree, snap_lsn, (cur_seg, cur_off) = AdaptiveRadixTree.snapshot_load(f)
+            except (SnapshotCorruptError, OSError):
+                continue
+            cursor_meta = store.segments.get(cur_seg)
+            if cursor_meta is None or cursor_meta.state == wal.STATE_SORTED:
+                # the cursor segment is gone (e.g. compacted away after an even
+                # newer snapshot was lost); this snapshot cannot anchor a tail
+                continue
+            partition.index = index = tree
+            last_included = snap_lsn
+            report = store.replay_tail(
+                replay, start_segment=cur_seg, start_offset=cur_off
+            )
+            break
 
-    if report is None:
-        # full rebuild: sorted segments first, then every unsorted record
-        for sid in store.sorted_ids():
-            for record, position in store.scan_segment(sid):
-                index.put(record.key, position, record.lsn)
-                partition.counters.records_replayed += 1
-        report = store.replay_tail(replay)
+        if report is None:
+            # full rebuild: sorted segments first, then every unsorted record
+            for sid in store.sorted_ids():
+                for record, position in store.scan_segment(sid):
+                    index.put(record.key, position, record.lsn)
+                    partition.counters.records_replayed += 1
+            report = store.replay_tail(replay)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     if report.torn:
         store.truncate_torn_tail(report)

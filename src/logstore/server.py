@@ -1,129 +1,60 @@
-"""Threaded TCP node: client API, replication streams, and executors.
+"""TCP node: one event loop serves the client API and the replication links.
 
-One executor thread owns each partition; every read and write crosses into
-it through the partition's bounded FIFO queue.  Replication runs on separate
-sender/receiver threads per peer, talking the same frame protocol as clients.
-The node drives `replication.ReplicationCore`, which holds every protocol
-step; this module adds only sockets, threads, locks and timeouts.
+One thread runs a `selectors` loop that owns every socket and partition and
+makes every `replication.ReplicationCore` call, so nothing is locked and no
+request crosses a thread.  A turn reads every ready socket and handles each
+complete frame in it (a connection may pipeline; replies keep request order),
+serves reads inline, dispatches writes, runs the due timers, then executes
+every partition with pending ops, so one group flush covers every writer of
+the turn.  Peer links connect lazily without blocking; while one is down its
+frames are dropped, and once it is back the core resends what was not acked.
 """
 
 from __future__ import annotations
 
+import errno
+import heapq
+import itertools
 import logging
-import queue
+import selectors
 import socket
 import threading
 import time
-from contextlib import ExitStack
-from dataclasses import dataclass
+from collections import deque
+from functools import partial
 
 from . import wire
+from .client import Client
 from .config import NodeConfig
 from .engine import Store, route
 from .errors import LogStoreError, NotLeaderError
 from .recovery import recover_store
-from .replication import (
-    GATE_BLOCK,
-    GATE_REJECT,
-    HEARTBEAT_INTERVAL,
-    ROLE_FOLLOWER,
-    ROLE_LEADER,
-    ReplicationCore,
-)
+from .replication import (GATE_BLOCK, GATE_REJECT, HEARTBEAT_INTERVAL, ROLE_FOLLOWER,
+                          ROLE_LEADER, ReplicationCore)
 from .wal import KIND_DELETE, KIND_PUT
 
 log = logging.getLogger("logstore.server")
 
 READ_GATE_TIMEOUT = 5.0
-HEARTBEAT_THREAD = "logstore-hb"
+PEER_RETRY = 0.1  # seconds between connect attempts to a peer whose link dropped
+RECV_BYTES = 256 * 1024
+LOOP_THREAD = "logstore-loop"
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
-class _Future:
-    __slots__ = ("event", "result", "error")
+class _Conn:
+    """A socket and its buffers: an accepted connection, or the link to `peer`.
+    `slots` holds a cell per request not yet answered, in request order."""
 
-    def __init__(self):
-        self.event = threading.Event()
-        self.result = None
-        self.error: tuple[int, str] | None = None
+    __slots__ = ("sock", "peer", "inbuf", "out", "slots", "events", "connected", "dead")
 
-    def resolve(self, result) -> None:
-        self.result = result
-        self.event.set()
-
-    def fail(self, code: int, message: str) -> None:
-        self.error = (code, message)
-        self.event.set()
-
-
-@dataclass
-class _BlockedRead:
-    key: bytes
-    view_lsn: int
-    future: _Future
-    deadline: float
-
-
-class _PeerLink:
-    """Outbound replication connection to one follower."""
-
-    def __init__(self, server: "ServerNode", peer_id: int, addr: str):
-        self.server = server
-        self.peer_id = peer_id
-        self.addr = addr
-        self.frames: queue.Queue = queue.Queue()
-        self.sock: socket.socket | None = None
-        self._lock = threading.Lock()
-        threading.Thread(target=self._send_loop, daemon=True).start()
-
-    def _connect(self) -> bool:
-        with self._lock:
-            if self.sock is not None:
-                return True
-            host, _, port = self.addr.rpartition(":")
-            try:
-                sock = socket.create_connection((host, int(port)), timeout=2.0)
-            except OSError:
-                return False
-            self.sock = sock
-            threading.Thread(target=self._recv_loop, args=(sock,), daemon=True).start()
-            return True
-
-    def _drop(self) -> None:
-        with self._lock:
-            if self.sock is not None:
-                try:
-                    self.sock.close()
-                except OSError:
-                    pass
-                self.sock = None
-        # resend everything unacked once the follower is reachable again;
-        # duplicate batches are idempotent on the other end
-        self.server.rewind_peer(self.peer_id)
-
-    def _send_loop(self) -> None:
-        while not self.server.stopped:
-            try:
-                frame = self.frames.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            while not self.server.stopped:
-                if not self._connect():
-                    time.sleep(0.1)
-                    continue
-                try:
-                    self.sock.sendall(frame)
-                    break
-                except OSError:
-                    self._drop()
-
-    def _recv_loop(self, sock: socket.socket) -> None:
-        try:
-            while not self.server.stopped:
-                msg_type, payload = wire.read_frame(sock)
-                if msg_type in (wire.MSG_APPEND_ACK, wire.MSG_APPEND_NACK):
-                    self.server.on_peer_ack(wire.AppendAck.decode(payload, msg_type))
-        except (ConnectionError, OSError):
-            self._drop()
+    def __init__(self, sock: socket.socket, peer: int | None = None):
+        self.sock, self.peer = sock, peer
+        self.inbuf, self.out = bytearray(), bytearray()
+        self.slots: deque[list] = deque()
+        self.connected = peer is None
+        self.events = _READ if self.connected else _WRITE
+        self.dead = False
 
 
 class ServerNode:
@@ -131,305 +62,334 @@ class ServerNode:
         self.config = config
         self.stopped = False
         self.store: Store = recover_store(
-            config.data_dir,
-            config.partitions,
-            cache_bytes=config.cache_bytes,
-            cooling_fraction=config.cooling_fraction,
-            seed=config.seed,
-            flush_policy=config.flush_policy,
-            segment_bytes=config.segment_bytes,
+            config.data_dir, config.partitions, cache_bytes=config.cache_bytes,
+            cooling_fraction=config.cooling_fraction, seed=config.seed,
+            flush_policy=config.flush_policy, segment_bytes=config.segment_bytes,
         )
         role = ROLE_LEADER if config.node_id == config.leader_node else ROLE_FOLLOWER
         self.core = ReplicationCore(
             self.store, config.node_id, config.peers, role, config.max_batch,
-            send=lambda peer, frame: self.peer_links[peer].frames.put(frame),
-            deliver=lambda _pid, reply: reply.token.resolve(reply.result),
+            send=self._send, deliver=self._deliver,
         )
         self.replicas = self.core.replicas
-        # the core's calls for one partition run under that partition's lock
-        self.locks = {pid: threading.RLock() for pid in self.replicas}
-        self.queues = {pid: queue.Queue(maxsize=config.queue_depth) for pid in self.replicas}
-        self.blocked_reads: dict[int, list[_BlockedRead]] = {pid: [] for pid in self.replicas}
-        self.peer_links = {
-            pid: _PeerLink(self, pid, addr) for pid, addr in config.peers.items()
-        }
+        # parked gated reads per partition: (conn, slot, key, view_lsn, deadline)
+        self.blocked_reads: dict[int, list[tuple]] = {pid: [] for pid in self.replicas}
+        self.links: dict[int, _Conn | None] = dict.fromkeys(config.peers)
+        self._owed: set[int] = set()    # peers whose frames were dropped while down
+        self._dirty: set[int] = set()   # partitions with writes dispatched this turn
+        self._outq: set[_Conn] = set()  # connections with bytes to write
+        self._timers: list[tuple] = []  # heap of (when, seq, fn)
+        self._seq = itertools.count()
         self.listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        host, port = self.config.addr_tuple()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(64)
-        self.listener = listener
-        for pid in self.replicas:
-            t = threading.Thread(target=self._executor_loop, args=(pid,), daemon=True)
-            t.start()
-            self._threads.append(t)
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
-        # one heartbeat loop serves every partition this node leads, now or after a promotion
-        t = threading.Thread(target=self._heartbeat_loop, daemon=True, name=HEARTBEAT_THREAD)
-        t.start()
-        self._threads.append(t)
-        log.info("node %d listening on %s:%d", self.config.node_id, host, port)
+        # listen before returning; the loop's first select already watches it
+        self.listener = socket.create_server(self.config.addr_tuple(), backlog=64)
+        self.listener.setblocking(False)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self.listener, _READ, self._accept)
+        self._sel.register(self._wake_r, _READ, partial(self._wake_r.recv, 64))
+        self._at(time.monotonic() + HEARTBEAT_INTERVAL, self._heartbeat)
+        self._thread = threading.Thread(target=self._run, name=LOOP_THREAD, daemon=True)
+        self._thread.start()
+        log.info("node %d listening on port %d", self.config.node_id, self.port)
 
     def stop(self) -> None:
         self.stopped = True
-        if self.listener is not None:
-            try:
-                self.listener.close()
-            except OSError:
-                pass
-        time.sleep(0.05)
-        for pid, partition in enumerate(self.store.partitions):
-            with self.locks[pid]:
-                partition.flush()
-                partition.checkpoint()
+        if self._thread is not None:
+            self._wake_w.send(b"\0")
+            self._thread.join()
+            self._thread = None
+            self._wake_w.close()
+        for partition in self.store.partitions:
+            partition.flush()
+            partition.checkpoint()
         self.store.close()
 
     @property
     def port(self) -> int:
         return self.listener.getsockname()[1]
 
-    # -- networking ---------------------------------------------------------
+    # -- the loop -----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self.stopped:
-            try:
-                conn, _ = self.listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._conn_loop, args=(conn,), daemon=True).start()
-
-    def _conn_loop(self, conn: socket.socket) -> None:
-        write_lock = threading.Lock()
+    def _run(self) -> None:
         try:
             while not self.stopped:
-                msg_type, payload = wire.read_frame(conn)
-                if msg_type == wire.MSG_APPEND_ENTRIES:
-                    self._handle_append_stream(conn, write_lock, payload)
-                else:
-                    reply = self._handle_client(msg_type, payload)
-                    with write_lock:
-                        conn.sendall(reply)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            conn.close()
-
-    # -- replication: follower side ----------------------------------------
-
-    def _handle_append_stream(self, conn, write_lock, payload: bytes) -> None:
-        msg = wire.AppendEntries.decode(payload)
-
-        def work():
-            with self.locks[msg.partition]:
-                ack = self.core.append(msg)
-                self._drain_blocked_reads(msg.partition)
-            with write_lock:
                 try:
-                    conn.sendall(ack)
-                except OSError:
-                    pass
+                    self._turn()
+                except Exception:  # the loop is the node: report and keep serving
+                    log.exception("node %d: loop turn failed", self.config.node_id)
+        finally:
+            for key in list(self._sel.get_map().values()):
+                key.fileobj.close()
+            self._sel.close()
 
-        self.queues[msg.partition].put(("work", work))
+    def _turn(self) -> None:
+        timers = self._timers
+        for key, events in self._sel.select(max(0.0, timers[0][0] - time.monotonic())):
+            conn = key.data
+            if conn.__class__ is not _Conn:
+                conn()  # accept, or drain the wake-up socket
+            elif events & _WRITE and not conn.connected:
+                self._link_up(conn)
+            else:
+                if events & _WRITE:
+                    self._outq.add(conn)
+                if events & _READ:
+                    self._read(conn)
+        now = time.monotonic()
+        while timers[0][0] <= now:
+            heapq.heappop(timers)[2]()
+        if self._dirty:
+            self._flush_out()  # replication frames leave before the local fsync
+            dirty, self._dirty = self._dirty, set()
+            for pid in dirty:
+                self._execute(pid)
+        self._flush_out()
 
-    # -- replication: leader side ---------------------------------------------
+    def _at(self, when: float, fn) -> None:
+        heapq.heappush(self._timers, (when, next(self._seq), fn))
 
-    def on_peer_ack(self, ack: wire.AppendAck) -> None:
-        with self.locks[ack.partition]:
-            self.core.handle_ack(ack)
+    def _heartbeat(self) -> None:
+        self._at(time.monotonic() + HEARTBEAT_INTERVAL, self._heartbeat)
+        for pid in self.replicas:
+            self.core.ship(pid, heartbeat=True)
 
-    def rewind_peer(self, peer_id: int) -> None:
-        for pid, lock in self.locks.items():
-            with lock:
-                self.core.rewind(pid, peer_id)
+    def _execute(self, pid: int) -> None:
+        while self.replicas[pid].pending_exec:
+            self.core.execute(pid)  # one batch, one group flush
 
-    def _heartbeat_loop(self) -> None:
-        while not self.stopped:
-            time.sleep(HEARTBEAT_INTERVAL)
-            for pid, lock in self.locks.items():
-                with lock:
-                    self.core.ship(pid, heartbeat=True)
+    # -- sockets ------------------------------------------------------------
 
-    # -- executors ----------------------------------------------------------------
+    def _adopt(self, sock: socket.socket, peer: int | None = None) -> _Conn:
+        sock.setblocking(False)
+        # frames are small and each turn writes whole ones: Nagle would hold a
+        # second frame to a follower until the first one's TCP ack
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Conn(sock, peer)
+        self._sel.register(sock, conn.events, conn)
+        return conn
 
-    def _executor_loop(self, pid: int) -> None:
-        self.store.partitions[pid].adopt_owner()
-        q = self.queues[pid]
-        replica = self.replicas[pid]
-        while not self.stopped:
-            try:
-                item = q.get(timeout=0.1)
-            except queue.Empty:
-                if self.blocked_reads[pid]:  # expire timed-out reads
-                    with self.locks[pid]:
-                        self._drain_blocked_reads(pid)
+    def _accept(self) -> None:
+        try:
+            self._adopt(self.listener.accept()[0])
+        except BlockingIOError:
+            pass
+
+    def _read(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._lost(conn)
+            return
+        buf = conn.inbuf
+        buf += data
+        pos = 0
+        try:
+            while len(buf) - pos >= 4 and not conn.dead:
+                length = int.from_bytes(buf[pos:pos + 4], "little")
+                if not length:
+                    raise ValueError("frame without a type byte")
+                end = pos + 4 + length
+                if end > len(buf):
+                    break
+                self._handle(conn, buf[pos + 4], bytes(buf[pos + 5:end]))
+                pos = end
+        except Exception:  # a malformed frame costs its connection, not the node
+            log.exception("node %d: dropping a connection", self.config.node_id)
+            self._lost(conn)
+        del buf[:pos]  # keep only a partial frame: select never reports read bytes again
+
+    def _reply(self, conn: _Conn, frame: bytes, slot: list) -> None:
+        """Fill `slot`, then write out every answered request at the head of `conn`."""
+        slot[0] = frame
+        slots = conn.slots
+        while slots and slots[0][0] is not None:
+            conn.out += slots.popleft()[0]
+        self._outq.add(conn)
+
+    def _flush_out(self) -> None:
+        outq, self._outq = self._outq, set()
+        for conn in outq:
+            if conn.dead or not conn.connected:
                 continue
-            kind, payload = item
-            if kind == "work":
-                payload()
-            # Whatever woke the loop, run every op dispatched so far.  So an
-            # op whose own "mod" signal met a full queue still runs: a full
-            # queue holds items that will wake this loop after the dispatch.
-            while replica.pending_exec:
-                with self.locks[pid]:
-                    self.core.execute(pid)
+            try:
+                del conn.out[:conn.sock.send(conn.out)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self._lost(conn)
+                continue
+            events = _READ | _WRITE if conn.out else _READ
+            if events != conn.events:
+                self._sel.modify(conn.sock, events, conn)
+                conn.events = events
 
-    def _answer_read(self, pid: int, key: bytes, view_lsn: int, future: _Future) -> bool:
+    def _lost(self, conn: _Conn) -> None:
+        """Close `conn`; a peer link is retried, and its frames are owed again."""
+        if conn.dead:
+            return
+        conn.dead = True
+        self._sel.unregister(conn.sock)
+        conn.sock.close()
+        if conn.peer is not None:
+            self.links[conn.peer] = None
+            self._owed.add(conn.peer)
+            self._at(time.monotonic() + PEER_RETRY, partial(self._connect, conn.peer))
+
+    # -- peer links ---------------------------------------------------------
+
+    def _send(self, peer: int, frame: bytes) -> None:
+        """The core's send hook: buffer on a live link, drop while it is down."""
+        if self.links[peer] is None and peer not in self._owed:
+            self._connect(peer)  # first contact: buffer while connecting
+        link = self.links[peer]
+        if link is None or peer in self._owed:
+            self._owed.add(peer)
+        else:
+            link.out += frame
+            self._outq.add(link)
+
+    def _connect(self, peer: int) -> None:
+        if self.links[peer] is None and not self.stopped:
+            # never blocks; the kernel's SYN retries bound an unanswered connect
+            link = self.links[peer] = self._adopt(socket.socket(), peer)
+            addr = self.config.addr_tuple(self.config.peers[peer])
+            if link.sock.connect_ex(addr) not in (0, errno.EINPROGRESS):
+                self._lost(link)
+
+    def _link_up(self, link: _Conn) -> None:
+        if link.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+            self._lost(link)
+            return
+        link.connected = True
+        self._outq.add(link)
+        if link.peer in self._owed:
+            self._owed.discard(link.peer)
+            for pid in self.replicas:
+                self.core.rewind(pid, link.peer)
+                self.core.ship(pid)
+
+    # -- frames -------------------------------------------------------------
+
+    def _handle(self, conn: _Conn, msg_type: int, payload: bytes) -> None:
+        if conn.peer is not None:  # a follower answers only with acks and nacks
+            if msg_type in (wire.MSG_APPEND_ACK, wire.MSG_APPEND_NACK):
+                self.core.handle_ack(wire.AppendAck.decode(payload, msg_type))
+            return
+        slot = [None]  # this request's place in the reply order
+        conn.slots.append(slot)
+        try:
+            frame = self._serve(conn, slot, msg_type, payload)
+        except NotLeaderError:
+            frame = wire.encode_err(
+                wire.ERR_NOT_LEADER, f"not leader; try node {self.config.leader_node}")
+        except LogStoreError as exc:
+            frame = wire.encode_err(wire.ERR_INTERNAL, str(exc))
+        if frame is not None:
+            self._reply(conn, frame, slot)
+
+    def _serve(self, conn: _Conn, slot: list, msg_type: int, payload: bytes) -> bytes | None:
+        """The reply to one request; None when it comes later."""
+        if msg_type == wire.MSG_APPEND_ENTRIES:
+            msg = wire.AppendEntries.decode(payload)
+            ack = self.core.append(msg)
+            self._drain_blocked_reads(msg.partition)
+            return ack
+        if msg_type in (wire.MSG_PUT, wire.MSG_DELETE):
+            if msg_type == wire.MSG_PUT:
+                kind, (key, value) = KIND_PUT, wire.decode_put(payload)
+            else:
+                kind, key, value = KIND_DELETE, wire.decode_delete(payload), b""
+            pid = route(key, self.config.partitions)
+            if len(self.replicas[pid].pending_exec) >= self.config.queue_depth:
+                return wire.encode_err(wire.ERR_BACKPRESSURE, "partition queue full; retry")
+            self.core.write(pid, kind, key, value, (conn, slot))
+            self._dirty.add(pid)
+            return None
+        for pid in self._dirty:  # a read sees every write dispatched before it
+            self._execute(pid)
+        if msg_type == wire.MSG_GET:
+            key, view_lsn = wire.decode_get(payload)
+            pid = route(key, self.config.partitions)
+            if not self._answer_read(conn, slot, pid, key, view_lsn):
+                deadline = time.monotonic() + READ_GATE_TIMEOUT
+                self.blocked_reads[pid].append((conn, slot, key, view_lsn, deadline))
+                self._at(deadline, partial(self._drain_blocked_reads, pid))
+            return None
+        if msg_type == wire.MSG_RANGE:
+            start, end, limit = wire.decode_range(payload)
+            return wire.encode_range_result(self.store.range(start, end, limit or None))
+        if msg_type == wire.MSG_BATCH_GET:
+            return wire.encode_batch_result(self.store.batch_get(wire.decode_batch_get(payload)))
+        if msg_type == wire.MSG_STATS:
+            return wire.encode_stats_result(self._stats_text())
+        if msg_type == wire.MSG_PROMOTE:
+            pid = wire.decode_promote(payload)
+            self.core.take_over(pid, self._probe_peer_flushed(pid))
+            self.config.leader_node = self.config.node_id
+            return wire.encode_ok(lsn=self.replicas[pid].state.flushed)
+        return wire.encode_err(wire.ERR_BAD_REQUEST, f"unknown type {msg_type:#x}")
+
+    def _deliver(self, _pid: int, reply) -> None:
+        """The core's deliver hook: a write committed (a PUT's result is its LSN)."""
+        conn, slot = reply.token
+        self._reply(conn, wire.encode_ok(lsn=reply.lsn, flag=bool(reply.result)), slot)
+
+    def _answer_read(self, conn: _Conn, slot: list, pid: int, key: bytes, view_lsn: int) -> bool:
         """Serve or reject a gated read; False when it must wait."""
         value = self.core.read(pid, key, view_lsn)
         if value is GATE_BLOCK:
             return False
         if value is GATE_REJECT:
-            future.fail(wire.ERR_REJECTED, "view lsn beyond log")
+            self._reply(conn, wire.encode_err(wire.ERR_REJECTED, "view lsn beyond log"), slot)
         else:
-            future.resolve(value)
+            self._reply(conn, wire.encode_value(value), slot)
         return True
 
     def _drain_blocked_reads(self, pid: int) -> None:
+        now = time.monotonic()
         still_blocked = []
-        for blocked in self.blocked_reads[pid]:
-            if self._answer_read(pid, blocked.key, blocked.view_lsn, blocked.future):
+        for read in self.blocked_reads[pid]:
+            conn, slot, key, view_lsn, deadline = read
+            if self._answer_read(conn, slot, pid, key, view_lsn):
                 continue
-            if time.monotonic() > blocked.deadline:
-                blocked.future.fail(wire.ERR_TIMEOUT, "read gate timeout; retry")
+            if now >= deadline:
+                self._reply(conn, wire.encode_err(wire.ERR_TIMEOUT, "read gate timeout; retry"),
+                            slot)
             else:
-                still_blocked.append(blocked)
+                still_blocked.append(read)
         self.blocked_reads[pid] = still_blocked
 
-    # -- client request handling ------------------------------------------------
-
-    def _handle_client(self, msg_type: int, payload: bytes) -> bytes:
-        try:
-            if msg_type == wire.MSG_PUT:
-                key, value = wire.decode_put(payload)
-                return self._client_modify(KIND_PUT, key, value)
-            if msg_type == wire.MSG_DELETE:
-                key = wire.decode_delete(payload)
-                return self._client_modify(KIND_DELETE, key, b"")
-            if msg_type == wire.MSG_GET:
-                key, view_lsn = wire.decode_get(payload)
-                return self._client_get(key, view_lsn)
-            if msg_type == wire.MSG_RANGE:
-                start, end, limit = wire.decode_range(payload)
-                return self._client_read(
-                    lambda: wire.encode_range_result(self.store.range(start, end, limit or None))
-                )
-            if msg_type == wire.MSG_BATCH_GET:
-                keys = wire.decode_batch_get(payload)
-                return self._client_read(
-                    lambda: wire.encode_batch_result(self.store.batch_get(keys))
-                )
-            if msg_type == wire.MSG_STATS:
-                return wire.encode_stats_result(self._stats_text())
-            if msg_type == wire.MSG_PROMOTE:
-                pid = wire.decode_promote(payload)
-                return self._client_promote(pid)
-            return wire.encode_err(wire.ERR_BAD_REQUEST, f"unknown type {msg_type:#x}")
-        except NotLeaderError:
-            return wire.encode_err(
-                wire.ERR_NOT_LEADER, f"not leader; try node {self.config.leader_node}"
-            )
-        except LogStoreError as exc:
-            return wire.encode_err(wire.ERR_INTERNAL, str(exc))
-
-    def _client_modify(self, kind: int, key: bytes, value: bytes) -> bytes:
-        pid = route(key, self.config.partitions)
-        future = _Future()
-        with self.locks[pid]:
-            if len(self.replicas[pid].pending_exec) >= self.config.queue_depth:
-                return wire.encode_err(wire.ERR_BACKPRESSURE, "partition queue full; retry")
-            lsn = self.core.write(pid, kind, key, value, future)
-        try:
-            self.queues[pid].put_nowait(("mod", None))
-        except queue.Full:
-            pass  # the queued items wake the executor, which runs every pending op
-        if not future.event.wait(timeout=10.0):
-            return wire.encode_err(wire.ERR_TIMEOUT, "commit timeout")
-        if future.error is not None:
-            return wire.encode_err(*future.error)
-        if kind == KIND_PUT:
-            return wire.encode_ok(lsn=future.result)
-        return wire.encode_ok(lsn=lsn, flag=bool(future.result))
-
-    def _client_get(self, key: bytes, view_lsn: int) -> bytes:
-        pid = route(key, self.config.partitions)
-        future = _Future()
-
-        def work():
-            with self.locks[pid]:
-                if not self._answer_read(pid, key, view_lsn, future):
-                    self.blocked_reads[pid].append(
-                        _BlockedRead(key, view_lsn, future,
-                                     time.monotonic() + READ_GATE_TIMEOUT)
-                    )
-
-        self.queues[pid].put(("work", work))
-        if not future.event.wait(timeout=READ_GATE_TIMEOUT + 5.0):
-            return wire.encode_err(wire.ERR_TIMEOUT, "read timeout")
-        if future.error is not None:
-            return wire.encode_err(*future.error)
-        return wire.encode_value(future.result)
-
-    def _client_read(self, fn) -> bytes:
-        # cross-partition reads (range, batch-get) fan out through each
-        # partition executor; serialized here per partition via the locks
-        done = _Future()
-
-        def work():
-            with ExitStack() as held:
-                for pid in sorted(self.locks):
-                    held.enter_context(self.locks[pid])
-                done.resolve(fn())
-
-        first = next(iter(self.queues.values()))
-        first.put(("work", work))
-        if not done.event.wait(timeout=10.0):
-            return wire.encode_err(wire.ERR_TIMEOUT, "read timeout")
-        return done.result
-
-    def _client_promote(self, pid: int) -> bytes:
-        peer_flushed = self._probe_peer_flushed(pid)
-        with self.locks[pid]:
-            self.core.take_over(pid, peer_flushed)
-        self.config.leader_node = self.config.node_id
-        return wire.encode_ok(lsn=self.replicas[pid].state.flushed)
-
     def _probe_peer_flushed(self, pid: int) -> dict[int, int]:
-        """Best-effort STATS probe of each peer; unreachable peers are skipped."""
+        """Best-effort STATS probe of each peer; unreachable peers are skipped.
+        It holds the loop up to 0.5 s a peer: promotion is an operator action."""
         out: dict[int, int] = {}
         for peer_id, addr in self.config.peers.items():
-            host, _, port = addr.rpartition(":")
             try:
-                with socket.create_connection((host, int(port)), timeout=0.5) as sock:
-                    sock.sendall(wire.encode_stats())
-                    msg_type, payload = wire.read_frame(sock)
-            except OSError:
+                with Client(*self.config.addr_tuple(addr), timeout=0.5) as client:
+                    text = client.stats()
+            except (OSError, LogStoreError):
                 continue
-            if msg_type != wire.MSG_STATS_RESULT:
-                continue
-            for line in wire.decode_stats_result(payload).splitlines():
+            for line in text.splitlines():
                 fields = dict(kv.split("=") for kv in line.split())
                 if int(fields["partition"]) == pid:
                     out[peer_id] = int(fields["flushed"])
         return out
 
     def _stats_text(self) -> str:
-        lines = []
-        for pid, replica in self.replicas.items():
-            st = replica.state
-            cache = self.store.partitions[pid].cache.stats()
-            lines.append(
-                f"partition={pid} role={replica.role} epoch={replica.epoch} "
-                f"flushed={st.flushed} potential_commit={st.potential_commit} "
-                f"replayed={st.replayed} live_keys={self.store.partitions[pid].index.size} "
-                f"cache_hit_ratio={cache['hit_ratio']:.4f}"
-            )
-        return "\n".join(lines)
-
+        return "\n".join(
+            f"partition={pid} role={r.role} epoch={r.epoch} flushed={r.state.flushed} "
+            f"potential_commit={r.state.potential_commit} replayed={r.state.replayed} "
+            f"live_keys={r.partition.index.size} "
+            f"cache_hit_ratio={r.partition.cache.stats()['hit_ratio']:.4f}"
+            for pid, r in self.replicas.items()
+        )

@@ -1,5 +1,6 @@
 """Restart paths: checkpoints, tail replay proportionality, torn tails."""
 
+import gc
 import io
 import os
 
@@ -15,7 +16,7 @@ from logstore.recovery import (
     snapshot_path,
     write_checkpoint,
 )
-from logstore.wal import HEADER_LEN, LogPosition
+from logstore.wal import HEADER_LEN, LogPosition, SegmentStore
 
 
 def fill(p, n, start=0, prefix=b"k"):
@@ -153,6 +154,49 @@ class TestRecoverPartition:
         assert recovered.get(b"hotkey") == b"v19"
         assert recovered.index.size == 1
         recovered.close()
+
+
+class TestRecoveryPausesTheCollector:
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_is_off_during_replay_and_restored_after(
+            self, tmp_path, monkeypatch, restore_gc, enabled):
+        p = Partition(0, tmp_path)
+        fill(p, 10)
+        p.close()
+        seen = []
+        replay_tail = SegmentStore.replay_tail
+
+        def spy(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return replay_tail(self, *args, **kwargs)
+
+        monkeypatch.setattr(SegmentStore, "replay_tail", spy)
+        gc.enable() if enabled else gc.disable()
+        recovered, report = recover_partition(0, tmp_path)
+        assert (seen, report.records_read) == ([False], 10)
+        assert gc.isenabled() is enabled
+        recovered.close()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_is_restored_when_recovery_raises(
+            self, tmp_path, monkeypatch, restore_gc, enabled):
+        def fail(self, *args, **kwargs):
+            raise CorruptRecordError("bad record mid-log")
+
+        monkeypatch.setattr(SegmentStore, "replay_tail", fail)
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(CorruptRecordError):
+            recover_partition(0, tmp_path)
+        assert gc.isenabled() is enabled
 
 
 class TestTornTail:

@@ -1,15 +1,19 @@
 """TCP server nodes on localhost: client API, replication, restart."""
 
+import ast
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import logstore
 
 from logstore.client import Client, ClientError
 from logstore.config import NodeConfig
 from logstore.errors import NotLeaderError
-from logstore.server import ServerNode
+from logstore.server import LOOP_THREAD, ServerNode
 from logstore import wire
 
 
@@ -96,47 +100,102 @@ class TestSingleNode:
             assert c.get(b"k150") == b"v150"
         node2.stop()
 
-    def test_put_commits_when_its_executor_signal_meets_a_full_queue(self, tmp_path):
+    def test_pipelined_puts_beyond_queue_depth_meet_backpressure_in_order(self, tmp_path):
         cfg = NodeConfig(node_id=0, listen="127.0.0.1:0", partitions=1, queue_depth=4,
                          data_dir=str(tmp_path / "n0"))
         node = ServerNode(cfg)
         node.start()
-        held = threading.Event()
-        release = threading.Event()
-
-        def hold():
-            held.set()
-            release.wait(5.0)
-
-        q = node.queues[0]
-        q.put(("work", hold))
-        assert held.wait(5.0)
-        while not q.full():
-            q.put(("work", lambda: None))
-        # the PUT's signal finds the queue full; its executor stays busy for
-        # longer than the old blocking put waited before giving the signal up
-        timer = threading.Timer(1.5, release.set)
-        timer.start()
+        keys = [b"k%02d" % i for i in range(32)]
         try:
+            # one send, so one turn of the loop reads more PUTs than the queue holds
+            with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+                s.sendall(b"".join(wire.encode_put(k, b"v" + k) for k in keys))
+                replies = [wire.read_frame(s) for _ in keys]
+            accepted, lsns, refused = [], [], 0
+            for key, (msg_type, payload) in zip(keys, replies):
+                if msg_type == wire.MSG_OK:
+                    accepted.append(key)
+                    lsns.append(wire.decode_ok(payload)[1])
+                else:
+                    assert msg_type == wire.MSG_ERR
+                    assert wire.decode_err(payload)[0] == wire.ERR_BACKPRESSURE
+                    refused += 1
+            # the first PUT always fits, so a refusal ahead of it, or accepted
+            # LSNs other than 1, 2, 3, ..., would mean replies out of order
+            assert replies[0][0] == wire.MSG_OK
+            assert lsns == list(range(1, len(lsns) + 1))
+            assert refused > 0
             with Client("127.0.0.1", node.port) as c:
-                t0 = time.monotonic()
-                assert c.put(b"k", b"v") > 0
-                assert time.monotonic() - t0 < 5.0
-                assert c.get(b"k") == b"v"
+                assert [c.get(k) for k in accepted] == [b"v" + k for k in accepted]
         finally:
-            release.set()
-            timer.cancel()
             node.stop()
 
-    def test_one_heartbeat_thread_after_promotion(self, single):
+    def test_one_loop_thread_and_one_heartbeat_timer_after_promotion(self, tmp_path):
+        cfg = NodeConfig(node_id=0, listen="127.0.0.1:0", partitions=2,
+                         data_dir=str(tmp_path / "n0"))
+        node = ServerNode(cfg)
+        before = set(threading.enumerate())
+        node.start()
+
+        def heartbeat_timers():
+            # sampled from outside the loop, which pops a timer before it
+            # pushes the next one: the most seen at once is the number armed
+            seen = []
+            for _ in range(20):
+                seen.append(sum(t[2] == node._heartbeat for t in list(node._timers)))
+                time.sleep(0.005)
+            return max(seen)
+
+        def new_threads():
+            return sorted(t.name for t in set(threading.enumerate()) - before)
+
+        try:
+            assert new_threads() == [LOOP_THREAD]
+            assert heartbeat_timers() == 1
+            with Client("127.0.0.1", node.port) as c:
+                c.promote(1)  # the node already leads partition 1
+            assert new_threads() == [LOOP_THREAD]
+            assert heartbeat_timers() == 1
+        finally:
+            node.stop()
+        assert not any(t.name == LOOP_THREAD for t in threading.enumerate())
+
+    def test_pipelined_gets_and_puts_are_answered_in_order(self, single):
+        node, _ = single
+        frames, expected = [], []
+        for i in range(25):
+            key, value = b"p%02d" % i, b"v%d" % i
+            frames += [wire.encode_put(key, value), wire.encode_get(key)]
+            expected += [(wire.MSG_OK, None), (wire.MSG_VALUE, value)]
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+            s.sendall(b"".join(frames))
+            replies = [wire.read_frame(s) for _ in frames]
+        assert [t for t, _ in replies] == [t for t, _ in expected]
+        # each GET follows its own PUT on the connection, so it reads that value
+        assert [wire.decode_value(p) for (t, p) in replies if t == wire.MSG_VALUE] == [
+            v for t, v in expected if t == wire.MSG_VALUE]
+
+    def test_frame_split_across_two_sends_is_answered_once(self, single):
         node, c = single
+        c.put(b"split", b"value")
+        frame = wire.encode_get(b"split")
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+            s.sendall(frame[:len(frame) // 2])
+            time.sleep(0.05)
+            s.sendall(frame[len(frame) // 2:])
+            msg_type, payload = wire.read_frame(s)
+            assert (msg_type, wire.decode_value(payload)) == (wire.MSG_VALUE, b"value")
+            s.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                s.recv(1)
 
-        def heartbeats():
-            return [t for t in node._threads if t.name == "logstore-hb" and t.is_alive()]
-
-        assert len(heartbeats()) == 1
-        c.promote(1)  # the node already leads partition 0
-        assert len(heartbeats()) == 1
+    def test_frame_without_a_type_byte_closes_only_its_connection(self, single):
+        node, c = single
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+            s.sendall(b"\x00\x00\x00\x00" + wire.encode_stats())
+            assert s.recv(1) == b""
+        c.put(b"k", b"v")
+        assert c.get(b"k") == b"v"
 
     def test_unknown_frame_type_errors_cleanly(self, single):
         node, _ = single
@@ -201,3 +260,84 @@ class TestCluster:
             assert c.put(b"after", b"failover") > last
             assert c.get(b"after") == b"failover"
             assert c.get(b"k49") == b"v49"
+
+    def test_restarted_follower_catches_up_without_new_writes(self, trio):
+        nodes, ports = trio
+        with Client("127.0.0.1", ports[0]) as leader:
+            for i in range(20):
+                leader.put(b"a%02d" % i, b"v")
+            self.wait_follower(ports, 2, 20)
+            config = nodes[2].config
+            nodes[2].stop()
+            for i in range(20):
+                last = leader.put(b"b%02d" % i, b"w")
+        # the leader's link to node 2 dropped; once it reconnects, the leader
+        # resends what node 2 has not acked
+        nodes[2] = ServerNode(config)
+        nodes[2].start()
+        self.wait_follower(ports, 2, last)
+        with Client("127.0.0.1", ports[2]) as follower:
+            assert follower.get(b"b19", view_lsn=last) == b"w"
+
+    def test_dead_peer_buffers_nothing(self, tmp_path):
+        ports = [free_port() for _ in range(3)]
+        nodes = []
+        for nid in (0, 1):  # node 2 never starts
+            peers = {i: f"127.0.0.1:{ports[i]}" for i in range(3) if i != nid}
+            cfg = NodeConfig(node_id=nid, listen=f"127.0.0.1:{ports[nid]}", peers=peers,
+                             partitions=1, data_dir=str(tmp_path / f"n{nid}"), leader_node=0)
+            nodes.append(ServerNode(cfg))
+            nodes[-1].start()
+        leader = nodes[0]
+        # measured on the loop thread right after each frame shipped to node 2,
+        # once its first connect has failed (until then the link is connecting)
+        buffered = []
+        send = leader.core.send
+
+        def watched(peer, frame):
+            send(peer, frame)
+            if peer == 2 and 2 in leader._owed:
+                link = leader.links[2]
+                buffered.append(len(link.out) if link is not None else 0)
+
+        leader.core.send = watched
+        try:
+            with Client("127.0.0.1", ports[0]) as c:
+                for i in range(2000):
+                    assert c.put(b"d%04d" % i, b"v%d" % i) > 0
+            assert len(buffered) >= 1900 and max(buffered) == 0
+            self.wait_follower(ports, 1, 2000)
+        finally:
+            for node in nodes:
+                node.stop()
+
+
+class TestOneEventLoop:
+    """server.py hands no work between threads: nothing to queue on or wait for."""
+
+    SERVER = Path(logstore.__file__).parent / "server.py"
+
+    @staticmethod
+    def handoffs(source: str) -> list[str]:
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found += [alias.name for alias in node.names if alias.name == "queue"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "queue":
+                found.append("queue")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("RLock", "Event", "Condition"):
+                    found.append(name)
+        return found
+
+    def test_server_imports_no_queue_and_makes_no_lock_event_or_condition(self):
+        assert self.handoffs(self.SERVER.read_text()) == []
+
+    @pytest.mark.parametrize("added", [
+        "import queue", "from queue import Queue", "lock = threading.RLock()",
+        "done = threading.Event()", "from threading import Condition\ncv = Condition()",
+    ])
+    def test_guard_fails_on_a_copy_with_one_added(self, added):
+        assert self.handoffs(self.SERVER.read_text() + "\n" + added + "\n")
