@@ -122,8 +122,12 @@ class PartitionReplica:
         self.records[lsn] = op
         return lsn
 
-    def exec_batch(self, max_batch: int | None = None) -> list[ReplyObject]:
-        """ProcessTask: apply one drained batch, one group flush, local ack."""
+    def exec_batch(self, max_batch: int | None = None, sync: bool = True) -> list[ReplyObject]:
+        """ProcessTask: apply one drained batch, one group flush, local ack.
+
+        With `sync` False the flush is the caller's: it makes the log durable
+        and then calls `synced`, and until then the batch cannot commit.
+        """
         limit = max_batch if max_batch is not None else self.max_batch
         batch: list[PendingOp] = []
         while self.pending_exec and len(batch) < limit:
@@ -139,11 +143,22 @@ class PartitionReplica:
                 _, existed = self.partition.apply_delete(op.key, op.lsn)
                 result = existed
             replies.append(ReplyObject(op.lsn, op.token, result))
-        self.partition.flush()
-        self.state.flushed = batch[-1].lsn  # local ack
         self.waiting_reply.extend(replies)
-        self._advance_commit()
+        if sync:
+            self.partition.flush()
+            self.synced(batch[-1].lsn)
         return replies
+
+    @property
+    def log_end(self) -> int:
+        """The last LSN in the local log, durable or not."""
+        return self.partition.next_lsn - 1
+
+    def synced(self, lsn: int) -> None:
+        """Local ack: the leader's log is durable through `lsn`."""
+        if lsn > self.state.flushed:
+            self.state.flushed = lsn
+            self._advance_commit()
 
     # ------------------------------------------------------------------
     # leader: send / ack / reply stages
@@ -343,10 +358,18 @@ class ReplicationCore:
         self.ship(pid)
         return lsn
 
-    def execute(self, pid: int, max_batch: int | None = None) -> None:
-        """One executor turn: apply a batch, ship it, deliver what committed."""
-        self.replicas[pid].exec_batch(max_batch)
+    def execute(self, pid: int, max_batch: int | None = None, sync: bool = True) -> None:
+        """One executor turn: apply a batch, ship it, deliver what committed.
+
+        With `sync` False the batch waits for the caller's `synced` call.
+        """
+        self.replicas[pid].exec_batch(max_batch, sync)
         self.ship(pid)
+        self._deliver_ready(pid)
+
+    def synced(self, pid: int, lsn: int) -> None:
+        """Leader: the log of `pid` is durable through `lsn`; deliver what commits."""
+        self.replicas[pid].synced(lsn)
         self._deliver_ready(pid)
 
     def _deliver_ready(self, pid: int) -> None:

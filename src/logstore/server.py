@@ -8,6 +8,16 @@ serves reads inline, dispatches writes, runs the due timers, then executes
 every partition with pending ops, so one group flush covers every writer of
 the turn.  Peer links connect lazily without blocking; while one is down its
 frames are dropped, and once it is back the core resends what was not acked.
+A leader sends a commit point to its followers in the turn it moves, so a
+gated follower read at an LSN a client was just acked does not wait for the
+next write.
+
+The leader's group flush is the one thing the loop does not do itself: it
+hands a duplicate descriptor to a flusher thread, which fsyncs it and wakes
+the loop, and the writes it covers commit then.  Reads and other writers are
+served meanwhile, so a slow sync stalls only the writers it covers.  One sync
+per partition is in flight at a time; what is appended during it goes with
+the next.  A follower syncs inline: its ack is on every write's path.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import errno
 import heapq
 import itertools
 import logging
+import os
 import selectors
 import socket
 import threading
@@ -39,6 +50,7 @@ READ_GATE_TIMEOUT = 5.0
 PEER_RETRY = 0.1  # seconds between connect attempts to a peer whose link dropped
 RECV_BYTES = 256 * 1024
 LOOP_THREAD = "logstore-loop"
+FLUSH_THREAD = "logstore-flush"
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
@@ -46,7 +58,8 @@ class _Conn:
     """A socket and its buffers: an accepted connection, or the link to `peer`.
     `slots` holds a cell per request not yet answered, in request order."""
 
-    __slots__ = ("sock", "peer", "inbuf", "out", "slots", "events", "connected", "dead")
+    __slots__ = ("sock", "peer", "inbuf", "out", "slots", "events", "connected", "dead",
+                 "acked")
 
     def __init__(self, sock: socket.socket, peer: int | None = None):
         self.sock, self.peer = sock, peer
@@ -55,6 +68,11 @@ class _Conn:
         self.connected = peer is None
         self.events = _READ if self.connected else _WRITE
         self.dead = False
+        self.acked: dict[int, bytes] = {}  # partition -> last ack frame sent on it
+
+
+def _is_client(conn: _Conn) -> bool:
+    return conn.peer is None
 
 
 class ServerNode:
@@ -77,7 +95,14 @@ class ServerNode:
         self.links: dict[int, _Conn | None] = dict.fromkeys(config.peers)
         self._owed: set[int] = set()    # peers whose frames were dropped while down
         self._dirty: set[int] = set()   # partitions with writes dispatched this turn
-        self._outq: set[_Conn] = set()  # connections with bytes to write
+        self._committed: set[int] = set()  # partitions whose commit point moved this turn
+        self._syncing: set[int] = set()     # partitions with a sync on the flusher
+        self._jobs: deque[tuple] = deque()  # (pid, lsn, fd) for the flusher
+        self._done: deque[tuple] = deque()  # (pid, lsn, or None if it failed) back
+        # connections with bytes to write, in a fixed order (a set would order
+        # them by address, so which follower hears a frame first would change
+        # from run to run)
+        self._outq: dict[_Conn, None] = {}
         self._timers: list[tuple] = []  # heap of (when, seq, fn)
         self._seq = itertools.count()
         self.listener: socket.socket | None = None
@@ -92,8 +117,12 @@ class ServerNode:
         self._wake_r, self._wake_w = socket.socketpair()
         self._sel = selectors.DefaultSelector()
         self._sel.register(self.listener, _READ, self._accept)
-        self._sel.register(self._wake_r, _READ, partial(self._wake_r.recv, 64))
+        self._sel.register(self._wake_r, _READ, self._on_wake)
+        self._flush_r, self._flush_w = socket.socketpair()
         self._at(time.monotonic() + HEARTBEAT_INTERVAL, self._heartbeat)
+        self._flusher = threading.Thread(target=self._flush_loop, name=FLUSH_THREAD,
+                                         daemon=True)
+        self._flusher.start()
         self._thread = threading.Thread(target=self._run, name=LOOP_THREAD, daemon=True)
         self._thread.start()
         log.info("node %d listening on port %d", self.config.node_id, self.port)
@@ -104,6 +133,9 @@ class ServerNode:
             self._wake_w.send(b"\0")
             self._thread.join()
             self._thread = None
+            self._flush_w.close()  # the flusher syncs what it holds, then exits
+            self._flusher.join()
+            self._flush_r.close()
             self._wake_w.close()
         for partition in self.store.partitions:
             partition.flush()
@@ -138,7 +170,7 @@ class ServerNode:
                 self._link_up(conn)
             else:
                 if events & _WRITE:
-                    self._outq.add(conn)
+                    self._outq[conn] = None
                 if events & _READ:
                     self._read(conn)
         now = time.monotonic()
@@ -149,6 +181,13 @@ class ServerNode:
             dirty, self._dirty = self._dirty, set()
             for pid in dirty:
                 self._execute(pid)
+        if self._committed:
+            # tell the followers now, not with the next write or heartbeat: a
+            # gated read at the LSN just acked would otherwise wait for the
+            # writer's next request, and its latency would follow that timing
+            committed, self._committed = self._committed, set()
+            for pid in committed:
+                self.core.ship(pid, heartbeat=True)
         self._flush_out()
 
     def _at(self, when: float, fn) -> None:
@@ -161,7 +200,74 @@ class ServerNode:
 
     def _execute(self, pid: int) -> None:
         while self.replicas[pid].pending_exec:
-            self.core.execute(pid)  # one batch, one group flush
+            self.core.execute(pid, sync=False)  # one batch; it commits once synced
+        self._sync(pid)
+
+    # -- the leader's group flush, on the flusher thread ---------------------
+
+    def _sync(self, pid: int) -> None:
+        """Hand the partition's group flush to the flusher, one at a time."""
+        if pid in self._syncing:
+            return  # what was appended since goes with the next sync
+        replica = self.replicas[pid]
+        lsn = replica.log_end
+        fd = replica.partition.store.take_sync()
+        if fd is None:  # nothing to sync
+            self._synced(pid, lsn)
+            return
+        self._syncing.add(pid)
+        self._jobs.append((pid, lsn, fd))
+        self._flush_w.send(b"\0")
+
+    def _flush_loop(self) -> None:
+        """The flusher thread: fsync each descriptor handed over, then wake the
+        loop.  It touches no other state; `deque` appends and pops are atomic."""
+        while True:
+            more = self._flush_r.recv(64)
+            while self._jobs:
+                pid, lsn, fd = self._jobs.popleft()
+                try:
+                    os.fsync(fd)
+                except OSError:
+                    log.exception("node %d: partition %d sync failed",
+                                  self.config.node_id, pid)
+                    lsn = None
+                finally:
+                    os.close(fd)
+                self._done.append((pid, lsn))
+            if not more:
+                return
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # the loop has stopped
+
+    def _on_wake(self) -> None:
+        self._wake_r.recv(4096)
+        self._take_done()
+
+    def _take_done(self) -> None:
+        while self._done:
+            pid, lsn = self._done.popleft()
+            self._syncing.discard(pid)
+            if lsn is None:  # the disk failed: the partition takes no more writes
+                self.replicas[pid].partition.store.read_only = True
+            else:
+                self._synced(pid, lsn)
+
+    def _synced(self, pid: int, lsn: int) -> None:
+        self.core.synced(pid, lsn)
+        replica = self.replicas[pid]
+        if replica.log_end > replica.state.flushed:
+            self._sync(pid)
+
+    def _settle(self, pid: int) -> None:
+        """Make the whole local log of `pid` durable now (promotion needs it)."""
+        while pid in self._syncing:
+            self._wake_r.recv(4096)  # blocks until the flusher reports
+            self._take_done()
+        self.replicas[pid].partition.flush()
+        self._synced(pid, self.replicas[pid].log_end)
 
     # -- sockets ------------------------------------------------------------
 
@@ -214,10 +320,14 @@ class ServerNode:
         slots = conn.slots
         while slots and slots[0][0] is not None:
             conn.out += slots.popleft()[0]
-        self._outq.add(conn)
+        self._outq[conn] = None
 
     def _flush_out(self) -> None:
-        outq, self._outq = self._outq, set()
+        outq, self._outq = self._outq, {}
+        if self.links:
+            # peer links first: a follower hears a commit point before the
+            # client whose write it commits can ask that follower to read at it
+            outq = sorted(outq, key=_is_client)
         for conn in outq:
             if conn.dead or not conn.connected:
                 continue
@@ -256,7 +366,7 @@ class ServerNode:
             self._owed.add(peer)
         else:
             link.out += frame
-            self._outq.add(link)
+            self._outq[link] = None
 
     def _connect(self, peer: int) -> None:
         if self.links[peer] is None and not self.stopped:
@@ -271,7 +381,7 @@ class ServerNode:
             self._lost(link)
             return
         link.connected = True
-        self._outq.add(link)
+        self._outq[link] = None
         if link.peer in self._owed:
             self._owed.discard(link.peer)
             for pid in self.replicas:
@@ -303,6 +413,12 @@ class ServerNode:
             msg = wire.AppendEntries.decode(payload)
             ack = self.core.append(msg)
             self._drain_blocked_reads(msg.partition)
+            # acks and nacks are cumulative and the stream is ordered: an answer
+            # the leader already has from this connection (the ack of a
+            # commit-only frame, say) tells it nothing
+            if ack == conn.acked.get(msg.partition):
+                return b""
+            conn.acked[msg.partition] = ack
             return ack
         if msg_type in (wire.MSG_PUT, wire.MSG_DELETE):
             if msg_type == wire.MSG_PUT:
@@ -334,15 +450,17 @@ class ServerNode:
             return wire.encode_stats_result(self._stats_text())
         if msg_type == wire.MSG_PROMOTE:
             pid = wire.decode_promote(payload)
+            self._settle(pid)
             self.core.take_over(pid, self._probe_peer_flushed(pid))
             self.config.leader_node = self.config.node_id
             return wire.encode_ok(lsn=self.replicas[pid].state.flushed)
         return wire.encode_err(wire.ERR_BAD_REQUEST, f"unknown type {msg_type:#x}")
 
-    def _deliver(self, _pid: int, reply) -> None:
+    def _deliver(self, pid: int, reply) -> None:
         """The core's deliver hook: a write committed (a PUT's result is its LSN)."""
         conn, slot = reply.token
         self._reply(conn, wire.encode_ok(lsn=reply.lsn, flag=bool(reply.result)), slot)
+        self._committed.add(pid)
 
     def _answer_read(self, conn: _Conn, slot: list, pid: int, key: bytes, view_lsn: int) -> bool:
         """Serve or reject a gated read; False when it must wait."""

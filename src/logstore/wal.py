@@ -275,13 +275,26 @@ class SegmentStore:
 
     def flush(self) -> None:
         """Group flush: one durable sync covering everything appended so far."""
+        fd = self.take_sync()
+        if fd is not None:
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+
+    def take_sync(self) -> int | None:
+        """The group flush, handed out: count it and return a duplicate of the
+        active segment's descriptor for the caller to fsync and close, or None
+        when nothing needs a sync.  A rotation does not close the duplicate, so
+        the sync may run on another thread while appends go on."""
         if not self._dirty_since_flush:
-            return
-        if self.flush_policy == "group":
-            os.fsync(self._active_f.fileno())
-            self.counters.fsyncs += 1
+            return None
         self.counters.group_flushes += 1
         self._dirty_since_flush = False
+        if self.flush_policy != "group":
+            return None
+        self.counters.fsyncs += 1
+        return os.dup(self._active_f.fileno())
 
     def should_rotate(self) -> bool:
         return self.active_meta.data_size >= self.segment_bytes

@@ -1,7 +1,9 @@
 """TCP server nodes on localhost: client API, replication, restart."""
 
 import ast
+import os
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -12,8 +14,11 @@ import logstore
 
 from logstore.client import Client, ClientError
 from logstore.config import NodeConfig
+from logstore.engine import route
 from logstore.errors import NotLeaderError
-from logstore.server import LOOP_THREAD, ServerNode
+from logstore.replication import HEARTBEAT_INTERVAL
+from logstore.server import FLUSH_THREAD, LOOP_THREAD, ServerNode
+from logstore.wal import KIND_PUT, LogRecord
 from logstore import wire
 
 
@@ -150,15 +155,74 @@ class TestSingleNode:
             return sorted(t.name for t in set(threading.enumerate()) - before)
 
         try:
-            assert new_threads() == [LOOP_THREAD]
+            # the loop, and the flusher that runs the leader's fsyncs
+            assert new_threads() == [FLUSH_THREAD, LOOP_THREAD]
             assert heartbeat_timers() == 1
             with Client("127.0.0.1", node.port) as c:
+                for i in range(20):  # writes and their syncs start no thread
+                    c.put(b"k%d" % i, b"v")
                 c.promote(1)  # the node already leads partition 1
-            assert new_threads() == [LOOP_THREAD]
+            assert new_threads() == [FLUSH_THREAD, LOOP_THREAD]
             assert heartbeat_timers() == 1
         finally:
             node.stop()
-        assert not any(t.name == LOOP_THREAD for t in threading.enumerate())
+        assert not any(t.name in (FLUSH_THREAD, LOOP_THREAD) for t in threading.enumerate())
+
+    def test_reads_are_served_while_a_write_syncs(self, single, monkeypatch):
+        node, client = single
+        client.put(b"r", b"1")
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            time.sleep(0.5)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        lsns = []
+        writer = threading.Thread(target=lambda: lsns.append(client.put(b"w", b"2")))
+        t0 = time.monotonic()
+        writer.start()
+        with Client("127.0.0.1", node.port) as reader:
+            time.sleep(0.1)  # the write is on the flusher now
+            t1 = time.monotonic()
+            assert reader.get(b"r") == b"1"
+            read_s = time.monotonic() - t1
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert lsns and time.monotonic() - t0 >= 0.5  # the write waited for its sync
+        assert read_s < 0.25
+
+    def test_concurrent_writers_all_commit_under_a_short_switch_interval(self, single):
+        """The loop and the flusher share only the two deques of sync jobs and
+        results: with more writers than cores and a very short switch
+        interval, no sync and no reply may be lost or delivered twice."""
+        node, _ = single
+        interval = sys.getswitchinterval()
+        results = {}
+
+        def write(w):
+            with Client("127.0.0.1", node.port) as c:
+                for i in range(150):
+                    key = b"s%d-%d" % (w, i)
+                    results[key] = (route(key, 2), c.put(key, b"v%d" % i))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=write, args=(w,)) for w in range(8)]
+            for t in writers:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in writers:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(t.is_alive() for t in writers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(set(results.values())) == 8 * 150  # one LSN each
+        with Client("127.0.0.1", node.port) as c:
+            assert all(c.get(b"s%d-%d" % (w, i)) == b"v%d" % i
+                       for w in range(8) for i in range(150))
+        for pid, replica in node.replicas.items():
+            assert replica.state.flushed == replica.log_end  # every sync came back
 
     def test_pipelined_gets_and_puts_are_answered_in_order(self, single):
         node, _ = single
@@ -310,6 +374,50 @@ class TestCluster:
         finally:
             for node in nodes:
                 node.stop()
+
+    def test_follower_hears_the_commit_point_without_waiting_for_a_heartbeat(self, trio):
+        nodes, ports = trio
+        follower_state = nodes[1].replicas[0].state
+        times = []
+        with Client("127.0.0.1", ports[0]) as leader, \
+                Client("127.0.0.1", ports[1]) as follower:
+            for i in range(20):
+                lsn = leader.put(b"c%02d" % i, b"v%d" % i)
+                while follower_state.flushed < lsn:  # else the read is rejected
+                    time.sleep(0.0005)
+                # no write follows: without a push the commit point would come
+                # with the next heartbeat, up to HEARTBEAT_INTERVAL later
+                t0 = time.perf_counter()
+                assert follower.get(b"c%02d" % i, view_lsn=lsn) == b"v%d" % i
+                times.append(time.perf_counter() - t0)
+        times.sort()
+        assert times[len(times) // 2] < HEARTBEAT_INTERVAL / 5, times
+
+    def test_follower_sends_no_ack_the_leader_already_has(self, tmp_path):
+        peers = {0: f"127.0.0.1:{free_port()}"}
+        cfg = NodeConfig(node_id=1, listen="127.0.0.1:0", peers=peers, partitions=1,
+                         data_dir=str(tmp_path / "n1"), leader_node=0)
+        node = ServerNode(cfg)
+        node.start()
+
+        def append(commit, *lsns):
+            records = [LogRecord(n, KIND_PUT, b"k%d" % n, b"v") for n in lsns]
+            return wire.AppendEntries(0, 1, commit, records).encode()
+
+        try:
+            with socket.create_connection(("127.0.0.1", node.port), timeout=2) as s:
+                # records, two commit-only frames, records: the two commit-only
+                # frames leave the follower's flushed LSN where the first ack put it
+                s.sendall(append(0, 1) + append(1) + append(1) + append(1, 2))
+                acks = [wire.AppendAck.decode(wire.read_frame(s)[1], wire.MSG_APPEND_ACK)
+                        for _ in range(2)]
+                assert [a.last_flushed_lsn for a in acks] == [1, 2]
+                s.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    s.recv(1)
+            assert node.replicas[0].state.potential_commit == 1
+        finally:
+            node.stop()
 
 
 class TestOneEventLoop:
