@@ -364,40 +364,45 @@ class AdaptiveRadixTree:
         return None
 
     def remove(self, key: bytes) -> IndexEntry | None:
-        if self.root is None:
-            return None
-        result: list[IndexEntry | None] = [None]
-        self.root = self._remove(self.root, key, 0, result)
-        if result[0] is not None:
-            self.size -= 1
-        return result[0]
-
-    def _remove(self, node, key, depth, result):
-        if node.__class__ is _Leaf:
-            if node.key == key:
-                result[0] = node.entry()
+        """Drop `key`'s entry and return it.  Walking back up the path, a node
+        left empty goes too, and one that shrank or collapsed replaces itself."""
+        path: list[tuple[object, int]] = []  # (inner node, byte taken below it)
+        node = self.root
+        depth = 0
+        while node is not None:
+            if node.__class__ is _Leaf:
+                if node.key != key:
+                    return None
+                found, old, new = node, node, None
+                break
+            prefix = node.prefix
+            if prefix and key[depth:depth + len(prefix)] != prefix:
                 return None
-            return node
-        p = node.prefix
-        if p and key[depth:depth + len(p)] != p:
-            return node
-        depth += len(p)
-        if depth == len(key):
-            if node.value_leaf is not None:
-                result[0] = node.value_leaf.entry()
+            depth += len(prefix)
+            if depth == len(key):
+                found = node.value_leaf
+                if found is None:
+                    return None
                 node.value_leaf = None
-                return _collapse(node)
-            return node
-        byte = key[depth]
-        child = node.find(byte)
-        if child is None:
-            return node
-        new_child = self._remove(child, key, depth + 1, result)
-        if new_child is None:
-            return _collapse(node.remove_child(byte))
-        if new_child is not child:
-            node.set_child(byte, new_child)
-        return node
+                old, new = node, _collapse(node)
+                break
+            byte = key[depth]
+            path.append((node, byte))
+            node = node.find(byte)
+            depth += 1
+        else:
+            return None
+        self.size -= 1
+        while new is None and path:
+            old, byte = path.pop()
+            new = _collapse(old.remove_child(byte))
+        if new is not old:
+            if path:
+                parent, byte = path[-1]
+                parent.set_child(byte, new)
+            else:
+                self.root = new
+        return found.entry()
 
     # -- ordered iteration --------------------------------------------------
 
@@ -469,19 +474,19 @@ class AdaptiveRadixTree:
     # -- snapshots ------------------------------------------------------------
 
     def snapshot_write(
-        self, sink: BinaryIO, cursor: tuple[int, int] = (0, 0)
+        self, sink: BinaryIO, cursor: tuple[int, int] = (0, 0), last_lsn: int = 0
     ) -> tuple[int, int]:
         """Serialize all entries in key order; returns (entry_count, last_lsn).
 
         `cursor` is the log replay position (active segment id, offset) at
         freeze time, stored in the trailer so recovery can seek straight to
-        the uncovered tail.
+        the uncovered tail.  The trailer's last LSN is the larger of
+        `last_lsn` and the highest entry version.
         """
         header = _SNAP_HEADER.pack(_SNAP_MAGIC, _SNAP_VERSION)
         sink.write(header)
         crc = zlib.crc32(header)
         count = 0
-        last_lsn = 0
         pack = _SNAP_ENTRY.pack
         parts: list[bytes] = []
         for leaf in self._leaves(None):

@@ -1,15 +1,18 @@
 """Partitioned execution core.
 
-One executor owns each partition: all mutations of a partition's log, index
-and cache happen on that owner (enforced by an optional thread check).  The
-engine itself is synchronous; queueing, batching and replication sit above it
-(see replication.py and server.py).
+A partition is an append-only log, the index over it and a cache.  Opening a
+partition recovers it from its directory: the index comes from the newest
+usable snapshot plus the log behind its cursor, or from the whole log, and
+the next LSN is always the one after the log's last.  The engine itself is
+synchronous; queueing, batching and replication sit above it (see
+replication.py and server.py).
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
-import threading
+import os
 import zlib
 from itertools import islice
 from pathlib import Path
@@ -17,9 +20,9 @@ from pathlib import Path
 from . import wal
 from .art import AdaptiveRadixTree, IndexEntry
 from .cache import CacheConfig, TwoStageCache
-from .errors import LogStoreError
+from .errors import SnapshotCorruptError
 from .metrics import Counters
-from .wal import KIND_DELETE, KIND_PUT, SegmentStore
+from .wal import KIND_DELETE, KIND_PUT, SegmentStore, TailReport
 
 BATCH_SCAN_FRACTION = 1 / 10  # batch reads above this live-key fraction use a scan
 
@@ -31,6 +34,16 @@ def route(key: bytes, partition_count: int) -> int:
     if partition_count < 1:
         raise ValueError("partition_count must be >= 1")
     return zlib.crc32(key) % partition_count
+
+
+def snapshot_path(data_dir: Path, partition_id: int, last_lsn: int) -> Path:
+    return Path(data_dir) / f"p{partition_id}_snap_{last_lsn}.idx"
+
+
+def list_snapshots(data_dir: Path, partition_id: int) -> list[tuple[int, Path]]:
+    """(last_lsn, path) pairs, newest first. Temp files are ignored."""
+    paths = Path(data_dir).glob(f"p{partition_id}_snap_*.idx")
+    return sorted(((int(p.stem.rpartition("_")[2]), p) for p in paths), reverse=True)
 
 
 class Partition:
@@ -45,7 +58,6 @@ class Partition:
         seed: int = 0,
         flush_policy: str = "group",
         segment_bytes: int = wal.DEFAULT_SEGMENT_BYTES,
-        check_owner: bool = False,
         counters: Counters | None = None,
     ):
         self.partition_id = partition_id
@@ -55,44 +67,70 @@ class Partition:
             self.data_dir, partition_id, self.counters,
             flush_policy=flush_policy, segment_bytes=segment_bytes,
         )
-        self.index = AdaptiveRadixTree()
         self.cache = TwoStageCache(
             CacheConfig(cache_bytes, cooling_fraction), seed=seed ^ partition_id
         )
-        self.next_lsn = self.store.last_lsn + 1
-        self._check_owner = check_owner
-        self._owner: int | None = None
+        # the rebuild allocates an object per index node and entry but makes no
+        # cycles, so the cyclic collector's passes over them free nothing and
+        # grow with the heap: pause it, then restore the caller's setting
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.tail_report = self._recover()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
-    # -- ownership ------------------------------------------------------------
+    def _recover(self) -> TailReport:
+        """Rebuild the index and the LSN frontier from the directory.
 
-    def _assert_owner(self) -> None:
-        if not self._check_owner:
-            return
-        me = threading.get_ident()
-        if self._owner is None:
-            self._owner = me
-        elif self._owner != me:
-            raise LogStoreError(
-                f"partition {self.partition_id} touched by two threads"
-            )
+        Loads the newest valid snapshot and replays the log behind its
+        cursor; falls back to a full log scan when no usable snapshot exists.
+        A torn final record is truncated; corruption anywhere else propagates.
+        """
+        store = self.store
+        for _lsn, path in list_snapshots(self.data_dir, self.partition_id):
+            try:
+                with open(path, "rb") as f:
+                    tree, snapshot_lsn, (cur_seg, cur_off) = AdaptiveRadixTree.snapshot_load(f)
+            except (SnapshotCorruptError, OSError):
+                continue
+            cursor_meta = store.segments.get(cur_seg)
+            if cursor_meta is not None and cursor_meta.state != wal.STATE_SORTED:
+                break
+            # the cursor segment is gone (e.g. compacted away after an even
+            # newer snapshot was lost); this snapshot cannot anchor a tail
+        else:
+            # full rebuild: sorted segments first, then every unsorted record
+            tree, snapshot_lsn, (cur_seg, cur_off) = AdaptiveRadixTree(), 0, (-1, 0)
+            for sid in store.sorted_ids():
+                for record, position in store.scan_segment(sid):
+                    tree.put(record.key, position, record.lsn)
+                    self.counters.records_replayed += 1
+        self.index = index = tree
 
-    def adopt_owner(self) -> None:
-        """Transfer ownership to the calling thread (executor start/failover)."""
-        self._owner = threading.get_ident()
+        def replay(record: wal.LogRecord, position: wal.LogPosition) -> None:
+            if record.kind == KIND_PUT:
+                index.put(record.key, position, record.lsn)
+            else:
+                index.remove(record.key)
+
+        report = store.replay_tail(replay, start_segment=cur_seg, start_offset=cur_off)
+        if report.torn:
+            store.truncate_torn_tail(report)
+        store.set_last_lsn(max(snapshot_lsn, report.last_valid_lsn))
+        return report
+
+    @property
+    def next_lsn(self) -> int:
+        """The LSN the next local write gets: always the one after the log's last."""
+        return self.store.last_lsn + 1
 
     # -- write path -------------------------------------------------------------
 
-    def assign_lsn(self) -> int:
-        lsn = self.next_lsn
-        self.next_lsn += 1
-        return lsn
-
     def apply_put(self, key: bytes, value: bytes, lsn: int | None = None) -> int:
-        self._assert_owner()
         if lsn is None:
-            lsn = self.assign_lsn()
-        else:
-            self.next_lsn = max(self.next_lsn, lsn + 1)
+            lsn = self.store.last_lsn + 1
         position = self.store.append(KIND_PUT, key, value, lsn)
         self.index.put(key, position, lsn)
         # update-in-place when cached, never admit on the write path
@@ -103,11 +141,8 @@ class Partition:
         return lsn
 
     def apply_delete(self, key: bytes, lsn: int | None = None) -> tuple[int, bool]:
-        self._assert_owner()
         if lsn is None:
-            lsn = self.assign_lsn()
-        else:
-            self.next_lsn = max(self.next_lsn, lsn + 1)
+            lsn = self.store.last_lsn + 1
         self.cache.invalidate(key)
         removed = self.index.remove(key)
         # tombstone is written even for an absent key: replicas and recovery
@@ -183,7 +218,6 @@ class Partition:
         snapshot covers the sorted output, and only then are the inputs
         deleted.  Returns False when there was nothing to do.
         """
-        self._assert_owner()
         if self.store.active_meta.data_size > 0:
             self.store.seal_and_rotate()
         sealed = [
@@ -212,10 +246,31 @@ class Partition:
             return self.compact()
         return False
 
-    def checkpoint(self):
-        from . import recovery
+    def checkpoint(self) -> tuple[Path, int]:
+        """Serialize the index, atomically publish it, drop older snapshots.
 
-        return recovery.write_checkpoint(self)
+        The trailer carries the replay cursor (active segment, offset) and the
+        log's last LSN, which deleted records count toward, so a reopen
+        continues the LSNs even when the log ends in tombstones.  Returns
+        (snapshot path, last LSN).
+        """
+        store = self.store
+        store.flush()
+        cursor = (store.active_meta.segment_id, store.active_meta.data_size)
+        tmp = self.data_dir / f"p{self.partition_id}_snap.tmp"
+        with open(tmp, "wb") as f:
+            _count, last_lsn = self.index.snapshot_write(
+                f, cursor=cursor, last_lsn=store.last_lsn)
+            f.flush()
+            os.fsync(f.fileno())
+            size = f.tell()
+        final = snapshot_path(self.data_dir, self.partition_id, last_lsn)
+        os.replace(tmp, final)
+        self.counters.snapshot_bytes += size
+        for _lsn, path in list_snapshots(self.data_dir, self.partition_id):
+            if path != final:
+                path.unlink(missing_ok=True)
+        return final, last_lsn
 
     def close(self) -> None:
         self.store.close()
@@ -238,24 +293,20 @@ class Store:
         seed: int = 0,
         flush_policy: str = "group",
         segment_bytes: int = wal.DEFAULT_SEGMENT_BYTES,
-        check_owner: bool = False,
     ):
-        from . import recovery
-
         self.root_dir = Path(root_dir)
         self.counters = Counters()
         self.partitions = [
-            recovery.recover_partition(
+            Partition(
                 pid,
                 self.root_dir / f"partition_{pid}",
-                counters=self.counters,
                 cache_bytes=cache_bytes,
                 cooling_fraction=cooling_fraction,
                 seed=seed,
                 flush_policy=flush_policy,
                 segment_bytes=segment_bytes,
-                check_owner=check_owner,
-            )[0]
+                counters=self.counters,
+            )
             for pid in range(partitions)
         ]
 

@@ -315,7 +315,6 @@ class PartitionReplica:
         self.role = ROLE_LEADER
         self.epoch += 1
         self.next_lsn = self.state.flushed + 1
-        self.partition.next_lsn = self.next_lsn
         # keep cursors for every known peer; an unreachable one counts as caught
         # up until its first nack rewinds the cursor to its real frontier
         peers = set(self.sent_to) | set(peer_flushed)

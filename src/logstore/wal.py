@@ -210,9 +210,10 @@ class SegmentStore:
             meta.data_size = self.segment_path(self._active_id).stat().st_size
             self._open_active_for_append()
         # last_lsn for the active segment is only re-established by the
-        # recovery tail scan (set_last_lsn); sealed metas are authoritative.
+        # recovery tail scan (set_last_lsn); sealed and sorted metas are
+        # authoritative.
         for m in self.segments.values():
-            if m.state == STATE_SEALED_UNSORTED:
+            if m.state != STATE_ACTIVE:
                 self._last_lsn = max(self._last_lsn, m.max_lsn)
 
     # -- active segment lifecycle ----------------------------------------
@@ -447,7 +448,9 @@ class SegmentStore:
         """Merge inputs into one new sorted segment.
 
         Keeps, per key, only the record with the highest LSN; keys whose
-        newest record is a Delete are dropped.  Returns (new segment meta,
+        newest record is a Delete are dropped.  The output's max_lsn is the
+        inputs' max, dropped records included, so it still marks how far
+        the log reached.  Returns (new segment meta,
         {key -> (position, lsn)} remap).  All-or-nothing: on IO failure the
         inputs stay untouched.  Input removal is the caller's job (after the
         remap and a covering checkpoint have been applied).
@@ -475,13 +478,11 @@ class SegmentStore:
             with open(tmp, "wb") as f:
                 offset = 0
                 min_lsn = live[0].lsn
-                max_lsn = 0
                 for record in live:
                     buf = encode_record(record.lsn, record.kind, record.key, record.value)
                     f.write(buf)
                     remap[record.key] = (LogPosition(sid, offset), record.lsn)
                     min_lsn = min(min_lsn, record.lsn)
-                    max_lsn = max(max_lsn, record.lsn)
                     offset += len(buf)
                     self.counters.compaction_bytes += len(buf)
                 f.flush()
@@ -494,7 +495,7 @@ class SegmentStore:
             segment_id=sid,
             state=STATE_SORTED,
             min_lsn=min_lsn,
-            max_lsn=max_lsn,
+            max_lsn=max(self.segments[i].max_lsn for i in inputs),
             data_size=offset,
         )
         self.segments[sid] = meta

@@ -42,6 +42,45 @@ class TestDictOracle:
             assert got is not None and got.version_lsn == version
         assert [e.key for e in tree.items()] == sorted(oracle)
 
+    def test_put_remove_mix_ends_in_empty_canonical_tree(self):
+        """Prefix-heavy keys over a 3-byte alphabet: after every removal burst
+        the tree has the shape inserting the survivors would give, and
+        removing everything leaves no root."""
+        rng = random.Random(29)
+        tree = AdaptiveRadixTree()
+        oracle = {}
+        for lsn in range(1, 6001):
+            key = bytes(rng.choice(b"abc") for _ in range(rng.randrange(1, 7)))
+            if rng.random() < 0.6:
+                tree.put(key, pos(lsn), lsn)
+                oracle[key] = lsn
+            else:
+                removed = tree.remove(key)
+                assert (removed is not None) == (oracle.pop(key, None) is not None)
+            if lsn % 1000 == 0:
+                rebuilt = AdaptiveRadixTree()
+                for k, version in oracle.items():
+                    rebuilt.put(k, pos(version), version)
+                assert tree.node_kinds() == rebuilt.node_kinds()
+                assert list(tree.items()) == list(rebuilt.items())
+        keys = list(oracle)
+        rng.shuffle(keys)
+        for key in keys:
+            assert tree.remove(key).version_lsn == oracle.pop(key)
+            assert tree.get(key) is None
+        assert tree.root is None and tree.size == 0
+
+    def test_remove_below_deeper_nesting_than_the_recursion_limit(self):
+        tree = AdaptiveRadixTree()
+        keys = [b"a" * i for i in range(1, 1501)]
+        for lsn, key in enumerate(keys, 1):
+            tree.put(key, pos(lsn), lsn)
+        assert tree.remove(keys[-1]).version_lsn == 1500
+        assert tree.get(keys[-1]) is None and tree.get(keys[-2]).version_lsn == 1499
+        assert tree.size == 1499
+        tree.put(keys[-1], pos(1501), 1501)
+        assert tree.get(keys[-1]).version_lsn == 1501
+
     @given(st.dictionaries(st.binary(min_size=1, max_size=8),
                            st.integers(min_value=1, max_value=10**6),
                            max_size=200))

@@ -1,13 +1,14 @@
 """Partitioned store: routing, read/write paths, IO accounting, compaction."""
 
+import ast
 import random
-import threading
 import zlib
+from pathlib import Path
 
 import pytest
 
+import logstore
 from logstore.engine import BATCH_SCAN_FRACTION, Partition, Store, route
-from logstore.errors import LogStoreError
 from logstore.workload import chi_square_uniform
 
 
@@ -101,6 +102,20 @@ class TestReadWritePath:
         lsns = [record.lsn for record, _ in store.partitions[0].store.scan_all()]
         assert sorted(lsns) == [1, 2, 3, 4, 5, 6]  # no LSN written twice
         store.close()
+
+    def test_reopened_partition_recovers_itself(self, tmp_path):
+        p = Partition(0, tmp_path)
+        for i in range(5):
+            p.apply_put(b"k%d" % i, b"v%d" % i)
+        p.close()
+        p = Partition(0, tmp_path)
+        for i in range(5):
+            assert p.get(b"k%d" % i) == b"v%d" % i
+        assert p.next_lsn == 6
+        assert p.apply_put(b"k5", b"v5") == 6
+        lsns = [record.lsn for record, _ in p.store.scan_all()]
+        assert sorted(lsns) == [1, 2, 3, 4, 5, 6]  # no LSN written twice
+        p.close()
 
     def test_range_merges_across_partitions(self, tmp_path):
         store = Store(tmp_path, partitions=4)
@@ -220,21 +235,26 @@ class TestCompaction:
         p.close()
 
 
-class TestOwnership:
-    def test_owner_thread_enforced_when_enabled(self, tmp_path):
-        p = Partition(0, tmp_path, check_owner=True)
-        p.adopt_owner()
-        p.apply_put(b"k", b"v")
-        errors = []
+class TestOneOpenPath:
+    OWNERSHIP = {"check_owner", "_check_owner", "_owner", "_assert_owner", "adopt_owner"}
 
-        def trespass():
-            try:
-                p.apply_put(b"x", b"y")
-            except LogStoreError as exc:
-                errors.append(exc)
+    def test_engine_needs_no_recovery_module_and_checks_no_owner(self):
+        """Opening a partition is recovery, so engine.py imports nothing from
+        recovery.py, at module level or inside a function."""
+        tree = ast.parse((Path(logstore.__file__).parent / "engine.py").read_text())
+        imported, names = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported += [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            names |= {getattr(node, field) for field in ("id", "attr", "arg", "name")
+                      if isinstance(getattr(node, field, None), str)}
+        assert not [m for m in imported if "recovery" in m.split(".")], imported
+        assert self.OWNERSHIP.isdisjoint(names), sorted(self.OWNERSHIP & names)
 
-        t = threading.Thread(target=trespass)
-        t.start()
-        t.join()
-        assert len(errors) == 1
-        p.close()
+    def test_only_the_engine_loads_snapshots(self):
+        src = Path(logstore.__file__).parent
+        loaders = [path.name for path in sorted(src.glob("*.py"))
+                   if "snapshot_load(" in path.read_text()]
+        assert loaders == ["art.py", "engine.py"]  # its definition, its one caller

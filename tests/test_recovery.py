@@ -156,6 +156,39 @@ class TestRecoverPartition:
         recovered.close()
 
 
+class TestLsnFrontier:
+    """The next LSN after a reopen follows the log's last record, deleted
+    records included, whichever files carry the frontier."""
+
+    @pytest.mark.parametrize("maintenance, drop_snapshots", [
+        ("checkpoint", False), ("compact", False), ("compact", True)])
+    def test_reopen_after_trailing_tombstones_reuses_no_lsn(
+            self, tmp_path, maintenance, drop_snapshots):
+        store = Store(tmp_path)
+        store.put(b"a", b"1")
+        store.put(b"b", b"2")
+        store.delete(b"b")
+        getattr(store, maintenance)()
+        store.close()
+        if drop_snapshots:  # the sorted segment alone must carry the frontier
+            for _lsn, path in list_snapshots(tmp_path / "partition_0", 0):
+                path.unlink()
+        store = Store(tmp_path)
+        assert store.put(b"c", b"3") == (0, 4)
+        lsns = [record.lsn for record, _ in store.partitions[0].store.scan_all()]
+        assert len(lsns) == len(set(lsns)) and max(lsns) == 4
+        assert (store.get(b"a"), store.get(b"b"), store.get(b"c")) == (b"1", None, b"3")
+        store.close()
+
+    def test_snapshot_trailer_holds_the_log_frontier(self, tmp_path):
+        p = Partition(0, tmp_path)
+        fill(p, 3)
+        p.apply_delete(b"k000002")
+        p.apply_delete(b"never-written")
+        assert write_checkpoint(p)[1] == 5
+        p.close()
+
+
 class TestRecoveryPausesTheCollector:
     @pytest.fixture
     def restore_gc(self):

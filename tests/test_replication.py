@@ -438,6 +438,25 @@ class TestCoreWithoutTransport:
         assert cores[1].read(0, b"k", 1) == b"v"
 
 
+class TestLeaderReopen:
+    def test_write_after_reopen_over_trailing_tombstones_reaches_follower(self, tmp_path):
+        """A reused LSN would look like a resend to the follower: acked, never stored."""
+        r, f = leader(tmp_path, cluster=2, peers=(1,)), follower(tmp_path, cluster=2)
+        r.dispatch(KIND_PUT, b"a", b"1")
+        r.dispatch(KIND_PUT, b"b", b"2")
+        r.dispatch(KIND_DELETE, b"b", b"")
+        r.exec_batch()
+        assert f.handle_append_entries(r.epoch, 0, r.take_unsent(1)) == ("ack", 3)
+        r.partition.checkpoint()
+        r.partition.close()
+        r = PartitionReplica(Partition(0, tmp_path / "leader"), 0, 2,
+                             role=ROLE_LEADER, peer_ids=(1,))
+        assert r.dispatch(KIND_PUT, b"c", b"3") == 4
+        r.exec_batch()
+        assert f.handle_append_entries(r.epoch, 0, r.take_unsent(1)) == ("ack", 4)
+        assert f.partition.get(b"c") == b"3"
+
+
 class TestOneReplicationCore:
     PROTOCOL_STEPS = {
         "take_unsent", "on_ack", "reset_peer_cursor", "commit_lsn_for_send",
