@@ -8,8 +8,10 @@ to each follower, pipelined — it never waits for acks), the ack stage
 Followers append, group-flush, and maintain the index immediately; "replay"
 is index upkeep only, which is what keeps standby freshness near 1.
 
-Commit points piggyback on every AppendEntries message; an idle heartbeat
-carries them when writes pause.
+Commit points piggyback on every AppendEntries; when one moves, a peer that
+has all it was sent acked or committed gets a commit-only one, which draws no
+answer.  No heartbeat: promotion is manual, and a link loses frames only by
+dropping, after which `ReplicationCore.link_up` resends what was not acked.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ ROLE_FOLLOWER = "follower"
 GATE_SERVE = "serve"
 GATE_BLOCK = "block"
 GATE_REJECT = "reject"
-
-HEARTBEAT_INTERVAL = 0.050  # seconds; commit-point cadence when writes pause
 
 
 @dataclass
@@ -336,7 +336,9 @@ class ReplicationCore:
     encoded frame on the link to `peer`, and `deliver(partition, reply)`
     hands a committed write's `ReplyObject` to whoever waits on its token.
     Its owners (`server.ServerNode`, `simnet.SimNode`) keep IO and time, and
-    make at most one call per partition at a time.
+    make at most one call per partition at a time.  The core alone decides
+    what each peer is sent and when: it ships wherever the commit point can
+    move, and it skips the peers whose link its owner reports down.
     """
 
     def __init__(self, store: Store, node_id: int, peer_ids: Iterable[int], role: str,
@@ -344,6 +346,7 @@ class ReplicationCore:
                  deliver: Callable[[int, ReplyObject], None]):
         self.send = send
         self.deliver = deliver
+        self.down: set[int] = set()  # peers whose link dropped: shipped nothing
         peers = sorted(peer_ids)
         self.replicas = {
             pid: PartitionReplica(partition, node_id, len(peers) + 1, role=role,
@@ -369,18 +372,22 @@ class ReplicationCore:
     def synced(self, pid: int, lsn: int) -> None:
         """Leader: the log of `pid` is durable through `lsn`; deliver what commits."""
         self.replicas[pid].synced(lsn)
+        self.ship(pid)
         self._deliver_ready(pid)
 
     def _deliver_ready(self, pid: int) -> None:
         for reply in self.replicas[pid].ready_replies():
             self.deliver(pid, reply)
 
-    def append(self, msg: wire.AppendEntries) -> bytes:
-        """Follower: apply an AppendEntries; returns the ack or nack frame."""
+    def append(self, msg: wire.AppendEntries) -> bytes | None:
+        """Follower: apply an AppendEntries; returns the ack or nack frame, or
+        None in place of a commit-only frame's ack, which repeats the last one."""
         replica = self.replicas[msg.partition]
         status, lsn = replica.handle_append_entries(
             msg.epoch, msg.leader_commit_lsn, msg.records
         )
+        if status == "ack" and not msg.records:
+            return None
         return wire.AppendAck(
             msg.partition, replica.epoch, replica.node_id, lsn,
             wire.MSG_APPEND_ACK if status == "ack" else wire.MSG_APPEND_NACK,
@@ -398,43 +405,44 @@ class ReplicationCore:
             self._deliver_ready(ack.partition)
         self.ship(ack.partition)
 
-    def ship(self, pid: int, heartbeat: bool = False) -> None:
-        """Send stage: push each peer's next unsent batch, pipelined.
+    def ship(self, pid: int) -> None:
+        """Send stage: push each live peer's next unsent batch, pipelined.
 
-        As the heartbeat, also send a commit-only AppendEntries to each peer
-        that has nothing unsent but has not yet heard the commit point.
+        A peer with nothing unsent that has not heard the commit point gets a
+        commit-only AppendEntries once all it was sent is acked or committed.
+        A peer with later records in flight is sent none: their ack calls
+        `ship` again, so a stream of writes draws no commit-only frames.
         """
         replica = self.replicas[pid]
         if replica.role != ROLE_LEADER:
             return
         commit = replica.state.potential_commit
         for peer in replica.sent_to:
+            if peer in self.down:
+                continue
             records = replica.take_unsent(peer)
             if records is None:
-                if not heartbeat or replica.last_sent_commit[peer] >= commit:
+                if (replica.last_sent_commit[peer] >= commit
+                        or replica.sent_to[peer] > max(replica.hwm[peer], commit)):
                     continue
                 records = []
             replica.last_sent_commit[peer] = commit
             self.send(peer, wire.AppendEntries(pid, replica.epoch, commit, records).encode())
 
-    def beat_owed(self, pid: int) -> bool:
-        """Whether a heartbeat now would carry news to some peer."""
-        replica = self.replicas[pid]
-        commit = replica.state.potential_commit
-        return replica.role == ROLE_LEADER and any(
-            sent < commit for sent in replica.last_sent_commit.values()
-        )
+    def link_down(self, peer: int) -> None:
+        """The link to `peer` dropped: ship it nothing until `link_up`."""
+        self.down.add(peer)
 
-    def rewind(self, pid: int, peer: int) -> None:
-        """The link to `peer` dropped: resend everything it has not acked.
-
-        The peer may come back as a restarted process that has not heard the
-        commit point, so the next heartbeat carries it again.
-        """
-        replica = self.replicas[pid]
-        if replica.role == ROLE_LEADER:
-            replica.reset_peer_cursor(peer, replica.hwm.get(peer, 0) + 1)
+    def link_up(self, peer: int) -> None:
+        """The link to `peer` is back: resend what it has not acked, and the
+        commit point, which a restarted peer lost.  No-op on first contact."""
+        if peer not in self.down:
+            return
+        self.down.discard(peer)
+        for pid, replica in self.replicas.items():
+            replica.reset_peer_cursor(peer, replica.hwm[peer] + 1)
             replica.last_sent_commit[peer] = 0
+            self.ship(pid)
 
     def read(self, pid: int, key: bytes, view_lsn: int) -> Any:
         """Gated read: the value, or GATE_BLOCK / GATE_REJECT in its place.

@@ -4,13 +4,13 @@ One thread runs a `selectors` loop that owns every socket and partition and
 makes every `replication.ReplicationCore` call, so nothing is locked and no
 request crosses a thread.  A turn reads every ready socket and handles each
 complete frame in it (a connection may pipeline; replies keep request order),
-serves reads inline, dispatches writes, runs the due timers, then executes
-every partition with pending ops, so one group flush covers every writer of
-the turn.  Peer links connect lazily without blocking; while one is down its
-frames are dropped, and once it is back the core resends what was not acked.
-A leader sends a commit point to its followers in the turn it moves, so a
-gated follower read at an LSN a client was just acked does not wait for the
-next write.
+serves reads inline, dispatches writes, runs the due timers (read-gate
+deadlines and peer reconnects), then executes every partition with pending
+ops, so one group flush covers every writer of the turn.  Peer links connect
+lazily without blocking.  The loop tells the core when a link drops and when
+it is back; the core decides every frame a peer is sent, such as the commit
+point that a gated follower read at a just-acked LSN waits for, which goes
+out before the client's ack.
 
 The leader's group flush is the one thing the loop does not do itself: it
 hands a duplicate descriptor to a flusher thread, which fsyncs it and wakes
@@ -40,8 +40,7 @@ from .config import NodeConfig
 from .engine import Store, route
 from .errors import LogStoreError, NotLeaderError
 from .recovery import recover_store
-from .replication import (GATE_BLOCK, GATE_REJECT, HEARTBEAT_INTERVAL, ROLE_FOLLOWER,
-                          ROLE_LEADER, ReplicationCore)
+from .replication import GATE_BLOCK, GATE_REJECT, ROLE_FOLLOWER, ROLE_LEADER, ReplicationCore
 from .wal import KIND_DELETE, KIND_PUT
 
 log = logging.getLogger("logstore.server")
@@ -58,8 +57,7 @@ class _Conn:
     """A socket and its buffers: an accepted connection, or the link to `peer`.
     `slots` holds a cell per request not yet answered, in request order."""
 
-    __slots__ = ("sock", "peer", "inbuf", "out", "slots", "events", "connected", "dead",
-                 "acked")
+    __slots__ = ("sock", "peer", "inbuf", "out", "slots", "events", "connected", "dead")
 
     def __init__(self, sock: socket.socket, peer: int | None = None):
         self.sock, self.peer = sock, peer
@@ -68,7 +66,6 @@ class _Conn:
         self.connected = peer is None
         self.events = _READ if self.connected else _WRITE
         self.dead = False
-        self.acked: dict[int, bytes] = {}  # partition -> last ack frame sent on it
 
 
 def _is_client(conn: _Conn) -> bool:
@@ -93,9 +90,7 @@ class ServerNode:
         # parked gated reads per partition: (conn, slot, key, view_lsn, deadline)
         self.blocked_reads: dict[int, list[tuple]] = {pid: [] for pid in self.replicas}
         self.links: dict[int, _Conn | None] = dict.fromkeys(config.peers)
-        self._owed: set[int] = set()    # peers whose frames were dropped while down
         self._dirty: set[int] = set()   # partitions with writes dispatched this turn
-        self._committed: set[int] = set()  # partitions whose commit point moved this turn
         self._syncing: set[int] = set()     # partitions with a sync on the flusher
         self._jobs: deque[tuple] = deque()  # (pid, lsn, fd) for the flusher
         self._done: deque[tuple] = deque()  # (pid, lsn, or None if it failed) back
@@ -119,7 +114,6 @@ class ServerNode:
         self._sel.register(self.listener, _READ, self._accept)
         self._sel.register(self._wake_r, _READ, self._on_wake)
         self._flush_r, self._flush_w = socket.socketpair()
-        self._at(time.monotonic() + HEARTBEAT_INTERVAL, self._heartbeat)
         self._flusher = threading.Thread(target=self._flush_loop, name=FLUSH_THREAD,
                                          daemon=True)
         self._flusher.start()
@@ -162,7 +156,8 @@ class ServerNode:
 
     def _turn(self) -> None:
         timers = self._timers
-        for key, events in self._sel.select(max(0.0, timers[0][0] - time.monotonic())):
+        timeout = max(0.0, timers[0][0] - time.monotonic()) if timers else None
+        for key, events in self._sel.select(timeout):
             conn = key.data
             if conn.__class__ is not _Conn:
                 conn()  # accept, or drain the wake-up socket
@@ -174,29 +169,17 @@ class ServerNode:
                 if events & _READ:
                     self._read(conn)
         now = time.monotonic()
-        while timers[0][0] <= now:
+        while timers and timers[0][0] <= now:
             heapq.heappop(timers)[2]()
         if self._dirty:
             self._flush_out()  # replication frames leave before the local fsync
             dirty, self._dirty = self._dirty, set()
             for pid in dirty:
                 self._execute(pid)
-        if self._committed:
-            # tell the followers now, not with the next write or heartbeat: a
-            # gated read at the LSN just acked would otherwise wait for the
-            # writer's next request, and its latency would follow that timing
-            committed, self._committed = self._committed, set()
-            for pid in committed:
-                self.core.ship(pid, heartbeat=True)
         self._flush_out()
 
     def _at(self, when: float, fn) -> None:
         heapq.heappush(self._timers, (when, next(self._seq), fn))
-
-    def _heartbeat(self) -> None:
-        self._at(time.monotonic() + HEARTBEAT_INTERVAL, self._heartbeat)
-        for pid in self.replicas:
-            self.core.ship(pid, heartbeat=True)
 
     def _execute(self, pid: int) -> None:
         while self.replicas[pid].pending_exec:
@@ -344,7 +327,7 @@ class ServerNode:
                 conn.events = events
 
     def _lost(self, conn: _Conn) -> None:
-        """Close `conn`; a peer link is retried, and its frames are owed again."""
+        """Close `conn`; a peer link is down for the core until a retry connects."""
         if conn.dead:
             return
         conn.dead = True
@@ -352,19 +335,18 @@ class ServerNode:
         conn.sock.close()
         if conn.peer is not None:
             self.links[conn.peer] = None
-            self._owed.add(conn.peer)
+            self.core.link_down(conn.peer)
             self._at(time.monotonic() + PEER_RETRY, partial(self._connect, conn.peer))
 
     # -- peer links ---------------------------------------------------------
 
     def _send(self, peer: int, frame: bytes) -> None:
-        """The core's send hook: buffer on a live link, drop while it is down."""
-        if self.links[peer] is None and peer not in self._owed:
-            self._connect(peer)  # first contact: buffer while connecting
+        """The core's send hook; the core sends nothing to a peer whose link is
+        down, so a link is missing only before the first contact."""
+        if self.links[peer] is None:
+            self._connect(peer)  # buffer while connecting
         link = self.links[peer]
-        if link is None or peer in self._owed:
-            self._owed.add(peer)
-        else:
+        if link is not None:  # None if the connect failed at once, or the node stopped
             link.out += frame
             self._outq[link] = None
 
@@ -382,11 +364,7 @@ class ServerNode:
             return
         link.connected = True
         self._outq[link] = None
-        if link.peer in self._owed:
-            self._owed.discard(link.peer)
-            for pid in self.replicas:
-                self.core.rewind(pid, link.peer)
-                self.core.ship(pid)
+        self.core.link_up(link.peer)
 
     # -- frames -------------------------------------------------------------
 
@@ -413,13 +391,7 @@ class ServerNode:
             msg = wire.AppendEntries.decode(payload)
             ack = self.core.append(msg)
             self._drain_blocked_reads(msg.partition)
-            # acks and nacks are cumulative and the stream is ordered: an answer
-            # the leader already has from this connection (the ack of a
-            # commit-only frame, say) tells it nothing
-            if ack == conn.acked.get(msg.partition):
-                return b""
-            conn.acked[msg.partition] = ack
-            return ack
+            return ack or b""  # a commit-only frame is not answered
         if msg_type in (wire.MSG_PUT, wire.MSG_DELETE):
             if msg_type == wire.MSG_PUT:
                 kind, (key, value) = KIND_PUT, wire.decode_put(payload)
@@ -460,7 +432,6 @@ class ServerNode:
         """The core's deliver hook: a write committed (a PUT's result is its LSN)."""
         conn, slot = reply.token
         self._reply(conn, wire.encode_ok(lsn=reply.lsn, flag=bool(reply.result)), slot)
-        self._committed.add(pid)
 
     def _answer_read(self, conn: _Conn, slot: list, pid: int, key: bytes, view_lsn: int) -> bool:
         """Serve or reject a gated read; False when it must wait."""

@@ -23,7 +23,6 @@ from .errors import ReadRejectedError
 from .replication import (
     GATE_BLOCK,
     GATE_REJECT,
-    HEARTBEAT_INTERVAL,
     ROLE_FOLLOWER,
     ROLE_LEADER,
     ReplicationCore,
@@ -102,7 +101,6 @@ class SimNode:
         self.dead = False
         self.exec_busy: dict[int, float] = {}
         self.exec_scheduled: dict[int, bool] = {}
-        self.hb_scheduled: dict[int, bool] = {}
 
     def handle_frame(self, src: int, frame: bytes) -> None:
         if self.dead:
@@ -112,17 +110,17 @@ class SimNode:
             self._on_append_entries(src, wire.AppendEntries.decode(payload))
         elif msg_type in (wire.MSG_APPEND_ACK, wire.MSG_APPEND_NACK):
             self.cluster.in_flight[(self.node_id, src)] -= 1
-            ack = wire.AppendAck.decode(payload, msg_type)
-            self.core.handle_ack(ack)
-            self.arm_heartbeat(ack.partition)
+            self.core.handle_ack(wire.AppendAck.decode(payload, msg_type))
         else:  # pragma: no cover - no other frames cross the sim transport
             raise ValueError(f"unexpected frame type {msg_type:#x}")
 
     def _on_append_entries(self, src: int, msg: wire.AppendEntries) -> None:
-        """Follower side: the append takes executor time, then acks."""
+        """Follower side: the append takes executor time, then answers."""
         def apply() -> None:
             if not self.dead:
-                self.cluster.send(self.node_id, src, self.core.append(msg))
+                answer = self.core.append(msg)
+                if answer is not None:
+                    self.cluster.send(self.node_id, src, answer)
 
         self._run_on_executor(msg.partition, len(msg.records), apply)
 
@@ -138,7 +136,6 @@ class SimNode:
         ticket = SimTicket(kind, key, value)
         ticket.lsn = self.core.write(pid, kind, key, value, ticket)
         self.kick_executor(pid)
-        self.arm_heartbeat(pid)
         return ticket
 
     def kick_executor(self, pid: int) -> None:
@@ -153,23 +150,9 @@ class SimNode:
             if self.dead:
                 return
             self.core.execute(pid, k)
-            self.arm_heartbeat(pid)
             self.kick_executor(pid)
 
         self._run_on_executor(pid, k, finish)
-
-    def arm_heartbeat(self, pid: int) -> None:
-        """Lazy heartbeat timer: one beat, scheduled only while one is owed."""
-        if self.hb_scheduled.get(pid) or not self.core.beat_owed(pid):
-            return
-        self.hb_scheduled[pid] = True
-
-        def beat() -> None:
-            self.hb_scheduled[pid] = False
-            if not self.dead:
-                self.core.ship(pid, heartbeat=True)
-
-        self.cluster.transport.schedule_at(self.cluster.transport.now + HEARTBEAT_INTERVAL, beat)
 
     def _deliver(self, pid: int, reply: ReplyObject) -> None:
         ticket = reply.token
@@ -201,7 +184,7 @@ class SimCluster:
         self.transport = SimTransport(seed)
         self.leader_map = {pid: leader_node for pid in range(partitions)}
         self.on_reply: Callable | None = None
-        # AppendEntries sent on each (src, dst) link and not yet answered
+        # AppendEntries with records sent on each (src, dst) link, not yet answered
         self.in_flight: Counter[tuple[int, int]] = Counter()
         self.max_in_flight: Counter[tuple[int, int]] = Counter()
         self._link_clock: dict[tuple[int, int], float] = {}
@@ -223,7 +206,8 @@ class SimCluster:
     def send(self, src: int, dst: int, frame: bytes) -> None:
         if self.nodes[src].dead or self.nodes[dst].dead:
             return
-        if frame[4] == wire.MSG_APPEND_ENTRIES:  # the frame's type byte
+        # the frame's type byte, and the record count that ends the AppendEntries header
+        if frame[4] == wire.MSG_APPEND_ENTRIES and any(frame[25:29]):
             link = (src, dst)
             self.in_flight[link] += 1
             self.max_in_flight[link] = max(self.max_in_flight[link], self.in_flight[link])
@@ -293,8 +277,7 @@ class SimCluster:
         """Kill a node; the links to it drop, as TCP connections would."""
         self.nodes[node_id].dead = True
         for node in self.nodes.values():
-            for pid in node.replicas:
-                node.core.rewind(pid, node_id)
+            node.core.link_down(node_id)
 
     def promote(self, node_id: int, partition: int) -> None:
         node = self.nodes[node_id]
@@ -305,7 +288,6 @@ class SimCluster:
         }
         node.core.take_over(partition, peer_flushed)
         self.leader_map[partition] = node_id
-        node.arm_heartbeat(partition)
 
     def freshness(self, partition: int, follower: int) -> float:
         leader = self.nodes[self.leader_map[partition]]

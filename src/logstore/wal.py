@@ -444,13 +444,14 @@ class SegmentStore:
         self,
         sorted_segment_ids: Iterable[int],
         sealed_unsorted_ids: Iterable[int],
-    ) -> tuple[SegmentMeta | None, dict[bytes, tuple[LogPosition, int]]]:
+    ) -> tuple[SegmentMeta, dict[bytes, tuple[LogPosition, int]]]:
         """Merge inputs into one new sorted segment.
 
         Keeps, per key, only the record with the highest LSN; keys whose
         newest record is a Delete are dropped.  The output's max_lsn is the
         inputs' max, dropped records included, so it still marks how far
-        the log reached.  Returns (new segment meta,
+        the log reached; for that it is written even when no key is live.
+        Returns (new segment meta,
         {key -> (position, lsn)} remap).  All-or-nothing: on IO failure the
         inputs stay untouched.  Input removal is the caller's job (after the
         remap and a covering checkpoint have been applied).
@@ -466,8 +467,6 @@ class SegmentStore:
                 if cur is None or record.lsn > cur.lsn:
                     best[record.key] = record
         live = [r for _, r in sorted(best.items()) if r.kind == KIND_PUT]
-        if not live:
-            return None, {}
 
         sid = self.next_segment_id
         self.next_segment_id += 1
@@ -477,12 +476,10 @@ class SegmentStore:
         try:
             with open(tmp, "wb") as f:
                 offset = 0
-                min_lsn = live[0].lsn
                 for record in live:
                     buf = encode_record(record.lsn, record.kind, record.key, record.value)
                     f.write(buf)
                     remap[record.key] = (LogPosition(sid, offset), record.lsn)
-                    min_lsn = min(min_lsn, record.lsn)
                     offset += len(buf)
                     self.counters.compaction_bytes += len(buf)
                 f.flush()
@@ -494,7 +491,7 @@ class SegmentStore:
         meta = SegmentMeta(
             segment_id=sid,
             state=STATE_SORTED,
-            min_lsn=min_lsn,
+            min_lsn=min((record.lsn for record in live), default=0),
             max_lsn=max(self.segments[i].max_lsn for i in inputs),
             data_size=offset,
         )

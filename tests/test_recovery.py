@@ -180,6 +180,20 @@ class TestLsnFrontier:
         assert (store.get(b"a"), store.get(b"b"), store.get(b"c")) == (b"1", None, b"3")
         store.close()
 
+    def test_compaction_that_ends_in_deletes_keeps_the_frontier(self, tmp_path):
+        store = Store(tmp_path)
+        store.put(b"a", b"1")
+        store.delete(b"a")
+        store.compact()
+        store.close()
+        # with the snapshot unusable, only the sorted segment carries the frontier
+        for _lsn, path in list_snapshots(tmp_path / "partition_0", 0):
+            path.write_bytes(b"junk")
+        store = Store(tmp_path)
+        assert store.put(b"b", b"2") == (0, 3)
+        assert (store.get(b"a"), store.get(b"b")) == (None, b"2")
+        store.close()
+
     def test_snapshot_trailer_holds_the_log_frontier(self, tmp_path):
         p = Partition(0, tmp_path)
         fill(p, 3)

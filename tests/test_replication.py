@@ -349,11 +349,13 @@ class TestCoreWithoutTransport:
         raise AssertionError(f"no frame from {src} to {dst}")
 
     def pass_on(self, src, dst):
-        """Deliver the oldest frame from src to dst; a follower's answer is queued."""
+        """Deliver the oldest frame from src to dst; a follower's answer, if
+        any, is queued."""
         msg_type, payload, _ = wire.decode_frame(self.take(src, dst))
         if msg_type == wire.MSG_APPEND_ENTRIES:
-            self.wire.append((dst, src, self.cores[dst].append(
-                wire.AppendEntries.decode(payload))))
+            answer = self.cores[dst].append(wire.AppendEntries.decode(payload))
+            if answer is not None:
+                self.wire.append((dst, src, answer))
         else:
             self.cores[dst].handle_ack(wire.AppendAck.decode(payload, msg_type))
         return msg_type
@@ -390,27 +392,59 @@ class TestCoreWithoutTransport:
         assert follower.partition.get(b"k0") == b"v0"
         assert sorted(self.replies) == [0, 1, 2]
 
-    def test_idle_heartbeat_carries_the_commit_point(self, tmp_path):
+    def links(self):
+        return [(s, d) for s, d, _ in self.wire]
+
+    def peek(self, src, dst):
+        """(commit point, record LSNs) of the oldest frame from src to dst."""
+        frame = next(f for s, d, f in self.wire if (s, d) == (src, dst))
+        msg_type, payload, _ = wire.decode_frame(frame)
+        assert msg_type == wire.MSG_APPEND_ENTRIES
+        msg = wire.AppendEntries.decode(payload)
+        return msg.leader_commit_lsn, [record.lsn for record in msg.records]
+
+    def test_the_ack_that_commits_pushes_the_commit_point(self, tmp_path):
         cores = self.make(tmp_path)
-        cores[0].write(0, KIND_PUT, b"k", b"v", "t")
+        cores[0].write(0, KIND_PUT, b"k1", b"v1", 1)   # one frame per write
+        cores[0].write(0, KIND_PUT, b"k2", b"v2", 2)
         cores[0].execute(0)
         self.pass_on(0, 1)
-        self.pass_on(0, 2)
-        self.pass_on(1, 0)                   # quorum: commit point 1
-        self.pass_on(2, 0)
-        assert self.wire == []               # nothing left to ship
-        assert cores[1].replicas[0].state.potential_commit == 0
-        assert cores[0].beat_owed(0)
-        cores[0].ship(0, heartbeat=True)
-        assert [(s, d) for s, d, _ in self.wire] == [(0, 1), (0, 2)]
+        self.pass_on(1, 0)                   # quorum for lsn 1
+        assert self.replies == [1]
+        # lsn 2 is in flight to both followers: the commit point waits for it
+        assert self.links() == [(0, 2), (0, 1), (0, 2)]
         self.pass_on(0, 1)
-        self.pass_on(0, 2)
+        self.pass_on(1, 0)                   # quorum for lsn 2
+        assert self.replies == [1, 2]
+        # with no further call, each follower whose records are all acked or
+        # committed is sent the commit point: node 2 gets it behind its records
+        assert self.links() == [(0, 2), (0, 2), (0, 1), (0, 2)]
+        assert self.peek(0, 1) == (2, [])
+        self.pass_on(0, 1)
+        assert (0, 1) not in self.links() and (1, 0) not in self.links()  # no ack
+        for _ in range(3):
+            self.pass_on(0, 2)               # lsn 1, lsn 2, then the commit point
+        self.pass_on(2, 0)
+        self.pass_on(2, 0)
+        assert self.wire == []               # its acks draw nothing more
         for nid in (1, 2):
-            assert cores[nid].replicas[0].state.potential_commit == 1
-            assert cores[nid].read(0, b"k", 1) == b"v"
-        assert not cores[0].beat_owed(0)
-        cores[0].ship(0, heartbeat=True)     # nothing new: no frame
-        assert [(s, d) for s, d, _ in self.wire] == [(1, 0), (2, 0)]  # the two acks
+            assert cores[nid].replicas[0].state.potential_commit == 2
+            assert cores[nid].read(0, b"k2", 2) == b"v2"
+        cores[0].ship(0)                     # nothing new: no frame
+        assert self.wire == []
+
+    def test_a_peer_whose_link_is_down_is_shipped_nothing(self, tmp_path):
+        cores = self.make(tmp_path)
+        cores[0].link_down(1)
+        for i in range(3):
+            cores[0].write(0, KIND_PUT, b"k%d" % i, b"v", i)
+        cores[0].execute(0)
+        for _ in range(3):
+            self.pass_on(0, 2)
+            self.pass_on(2, 0)
+        assert sorted(self.replies) == [0, 1, 2]  # node 2 makes the quorum
+        assert self.links() == [(0, 2)]           # its commit point, and nothing for node 1
+        assert cores[1].replicas[0].state.flushed == 0
 
     def test_restarted_follower_hears_the_commit_point(self, tmp_path):
         cores = self.make(tmp_path)
@@ -419,11 +453,17 @@ class TestCoreWithoutTransport:
         for nid in (1, 2):
             self.pass_on(0, nid)
             self.pass_on(nid, 0)
-        cores[0].ship(0, heartbeat=True)
-        for nid in (1, 2):
-            self.pass_on(0, nid)
-            self.pass_on(nid, 0)
+            self.pass_on(0, nid)             # the commit point
         assert cores[1].replicas[0].state.potential_commit == 1
+        cores[0].link_down(1)                # the leader's link to node 1 dropped
+        for i in (2, 3):
+            cores[0].write(0, KIND_PUT, b"k%d" % i, b"v%d" % i, i)
+        cores[0].execute(0)
+        for _ in range(2):
+            self.pass_on(0, 2)
+            self.pass_on(2, 0)
+        self.pass_on(0, 2)                   # commit point 3
+        assert self.wire == []
         # follower 1 restarts from its directory and has lost the commit point
         cores[1].replicas[0].partition.close()
         cores[1] = ReplicationCore(
@@ -432,10 +472,14 @@ class TestCoreWithoutTransport:
             deliver=lambda pid, reply: self.replies.append(reply.token),
         )
         assert cores[1].read(0, b"k", 1) == GATE_BLOCK
-        cores[0].rewind(0, 1)                # the leader's link to it dropped
-        cores[0].ship(0, heartbeat=True)
+        cores[0].link_up(1)                  # resend from its last ack, with the commit point
+        assert self.links() == [(0, 1)] and self.peek(0, 1) == (3, [2, 3])
         self.pass_on(0, 1)
         assert cores[1].read(0, b"k", 1) == b"v"
+        assert cores[1].read(0, b"k3", 3) == b"v3"
+        self.pass_on(1, 0)
+        cores[0].link_up(2)                  # never down: nothing to resend
+        assert self.wire == []
 
 
 class TestLeaderReopen:
@@ -459,7 +503,7 @@ class TestLeaderReopen:
 
 class TestOneReplicationCore:
     PROTOCOL_STEPS = {
-        "take_unsent", "on_ack", "reset_peer_cursor", "commit_lsn_for_send",
+        "ship", "take_unsent", "on_ack", "reset_peer_cursor", "commit_lsn_for_send",
         "needs_commit_heartbeat", "handle_append_entries", "exec_batch",
         "ready_replies", "dispatch", "read_gate", "promote",
     }

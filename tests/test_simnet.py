@@ -119,6 +119,19 @@ class TestFollowerReads:
         assert cluster.read_follower(1, b"k", read_view_lsn=1) == b"v1"
         assert replica.state.replayed >= 1
 
+    def test_follower_hears_one_writes_commit_point_within_a_few_link_delays(self, tmp_path):
+        c = SimCluster(tmp_path, nodes=3, partitions=1, seed=12,
+                       link=LinkConfig(delay=0.002))
+        c.put(b"k", b"v")
+        state = c.nodes[1].replicas[0].state
+        while state.potential_commit < 1 and c.transport.pending():
+            c.step()
+        # records out, ack back, commit point out: three link delays and
+        # executor time, with no timer to wait for
+        assert state.potential_commit == 1
+        assert c.transport.now <= 0.010
+        c.close()
+
     def test_read_beyond_log_rejected(self, cluster):
         cluster.put(b"k", b"v")
         cluster.run_idle()
