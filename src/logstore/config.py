@@ -77,7 +77,7 @@ class NodeConfig:
             raise ConfigError(f"duplicate node id {cfg.node_id} in peers")
         if cfg.partitions < 1:
             raise ConfigError("partitions must be >= 1")
-        if cfg.flush_policy not in ("group", "record", "os"):
+        if cfg.flush_policy not in ("group", "os"):
             raise ConfigError(f"unknown flush policy {cfg.flush_policy!r}")
         return cfg
 

@@ -8,6 +8,9 @@ to each follower, pipelined — it never waits for acks), the ack stage
 Followers append, group-flush, and maintain the index immediately; "replay"
 is index upkeep only, which is what keeps standby freshness near 1.
 
+A leader holds a write in memory only until its reply; every older record a
+peer needs is read back from the log, as a Raft leader resends by nextIndex.
+
 Commit points piggyback on every AppendEntries; when one moves, a peer that
 has all it was sent acked or committed gets a commit-only one, which draws no
 answer.  No heartbeat: promotion is manual, and a link loses frames only by
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, islice
 from typing import Any, Callable, Iterable
 
 from . import wire
@@ -53,13 +56,7 @@ class PendingOp:
     key: bytes
     value: bytes
     token: Any
-
-
-@dataclass
-class ReplyObject:
-    lsn: int
-    token: Any
-    result: Any = None
+    result: Any = None  # set by the executor: a PUT's LSN, a DELETE's "existed"
 
 
 def freshness_score(blsn: int, plsn: int) -> float:
@@ -101,10 +98,10 @@ class PartitionReplica:
         # leader-side channel bookkeeping
         self.next_lsn = flushed + 1
         self.pending_exec: deque[PendingOp] = deque()
-        self.records: dict[int, PendingOp] = {}
+        # every op not yet replied to, in LSN order, ending at next_lsn - 1
+        self.records: deque[PendingOp] = deque()
         self.sent_to: dict[int, int] = {pid: flushed for pid in peer_ids}
         self.hwm: dict[int, int] = {pid: 0 for pid in peer_ids}
-        self.waiting_reply: deque[ReplyObject] = deque()
         self.last_sent_commit: dict[int, int] = {pid: 0 for pid in peer_ids}
 
     # ------------------------------------------------------------------
@@ -119,35 +116,28 @@ class PartitionReplica:
         self.next_lsn += 1
         op = PendingOp(lsn, kind, key, value, token)
         self.pending_exec.append(op)
-        self.records[lsn] = op
+        self.records.append(op)
         return lsn
 
-    def exec_batch(self, max_batch: int | None = None, sync: bool = True) -> list[ReplyObject]:
+    def exec_batch(self, max_batch: int | None = None, sync: bool = True) -> list[PendingOp]:
         """ProcessTask: apply one drained batch, one group flush, local ack.
 
         With `sync` False the flush is the caller's: it makes the log durable
         and then calls `synced`, and until then the batch cannot commit.
         """
         limit = max_batch if max_batch is not None else self.max_batch
-        batch: list[PendingOp] = []
-        while self.pending_exec and len(batch) < limit:
-            batch.append(self.pending_exec.popleft())
+        batch = [self.pending_exec.popleft() for _ in range(min(limit, len(self.pending_exec)))]
         if not batch:
             return []
-        replies = []
         for op in batch:
             if op.kind == KIND_PUT:
-                self.partition.apply_put(op.key, op.value, op.lsn)
-                result = op.lsn
+                op.result = self.partition.apply_put(op.key, op.value, op.lsn)
             else:
-                _, existed = self.partition.apply_delete(op.key, op.lsn)
-                result = existed
-            replies.append(ReplyObject(op.lsn, op.token, result))
-        self.waiting_reply.extend(replies)
+                _, op.result = self.partition.apply_delete(op.key, op.lsn)
         if sync:
             self.partition.flush()
             self.synced(batch[-1].lsn)
-        return replies
+        return batch
 
     @property
     def log_end(self) -> int:
@@ -168,41 +158,35 @@ class PartitionReplica:
         """Send stage: next contiguous unsent batch for `peer` (pipelined).
 
         Returns None when the peer is fully caught up; the caller packs the
-        batch into a single AppendEntries message.
+        batch into a single AppendEntries message.  LSNs whose replies are
+        out, below the in-memory window, come from the log.
         """
         start = self.sent_to[peer] + 1
         end = min(self.next_lsn - 1, start + max_records - 1)
         if start > end:
             return None
-        records = []
-        for lsn in range(start, end + 1):
-            op = self.records.get(lsn)
-            if op is None:
-                records.extend(self._backfill(lsn, end))
-                break
-            records.append(LogRecord(op.lsn, op.kind, op.key, op.value))
+        base = self.next_lsn - len(self.records)
+        if start < base:
+            records = self._backfill(start, min(end, base - 1))
+        else:
+            records = [LogRecord(op.lsn, op.kind, op.key, op.value)
+                       for op in islice(self.records, start - base, end - base + 1)]
         self.sent_to[peer] = records[-1].lsn
         return records
 
     def _backfill(self, start_lsn: int, end_lsn: int) -> list[LogRecord]:
-        """Re-read pruned records from the local log (slow path: catch-up)."""
-        found: dict[int, LogRecord] = {}
-
-        def collect(record, _pos):
-            if start_lsn <= record.lsn <= end_lsn:
-                found[record.lsn] = record
-
-        self.partition.store.replay_tail(collect, start_lsn=start_lsn)
+        """Read LSNs `start_lsn`..`end_lsn` back from the unsorted segments
+        that reach `start_lsn`, decoding no further than `end_lsn`."""
+        store = self.partition.store
+        ids = [sid for sid in store.unsorted_ids() if store.segments[sid].max_lsn >= start_lsn]
         out = []
-        for lsn in range(start_lsn, end_lsn + 1):
-            record = found.get(lsn)
-            if record is None:
+        for record, _pos in chain.from_iterable(map(store.scan_segment, ids)):
+            if record.lsn > end_lsn:
                 break
-            out.append(record)
-        if not out:
-            raise LogStoreError(
-                f"cannot backfill lsn {start_lsn}: records compacted away"
-            )
+            if record.lsn >= start_lsn:
+                out.append(record)
+        if not out or out[0].lsn != start_lsn:
+            raise LogStoreError(f"cannot backfill lsn {start_lsn}: records compacted away")
         return out
 
     def reset_peer_cursor(self, peer: int, expected_lsn: int) -> None:
@@ -220,31 +204,20 @@ class PartitionReplica:
             self._advance_commit()
 
     def _advance_commit(self) -> None:
-        """potential_commit = highest LSN durable on a quorum (incl. local).
-
-        Every mark that can move the commit point can also raise the prune
-        floor, so pruning runs here: a single-node leader, which never sees
-        an ack, frees each batch once it is flushed.
-        """
+        """potential_commit = highest LSN durable on a quorum (incl. local)."""
         marks = sorted([self.state.flushed, *self.hwm.values()], reverse=True)
         candidate = marks[self.quorum - 1] if len(marks) >= self.quorum else 0
         candidate = min(candidate, self.state.flushed)
         if candidate > self.state.potential_commit:
             self.state.potential_commit = candidate
             self.state.replayed = candidate  # leader index is always current
-        self._prune_records()
 
-    def _prune_records(self) -> None:
-        """Free the ops every node has flushed; `records` is in LSN order."""
-        floor = min([self.state.flushed, *self.hwm.values()])
-        for lsn in list(takewhile(lambda lsn: lsn <= floor, self.records)):
-            del self.records[lsn]
-
-    def ready_replies(self) -> list[ReplyObject]:
-        """Reply stage: everything at or below the quorum commit point."""
+    def ready_replies(self) -> list[PendingOp]:
+        """Reply stage: every op at or below the quorum commit point, which
+        leaves memory with its reply (a commit implies it was executed)."""
         out = []
-        while self.waiting_reply and self.waiting_reply[0].lsn <= self.state.potential_commit:
-            out.append(self.waiting_reply.popleft())
+        while self.records and self.records[0].lsn <= self.state.potential_commit:
+            out.append(self.records.popleft())
         return out
 
     # ------------------------------------------------------------------
@@ -324,7 +297,6 @@ class PartitionReplica:
         self.last_sent_commit = {pid: 0 for pid in peers}
         self.pending_exec.clear()
         self.records.clear()
-        self.waiting_reply.clear()
         self._advance_commit()
 
 
@@ -334,7 +306,7 @@ class ReplicationCore:
     The core owns the node's `PartitionReplica`s and talks to the world only
     through the two hooks its owner passes in: `send(peer, frame)` puts an
     encoded frame on the link to `peer`, and `deliver(partition, reply)`
-    hands a committed write's `ReplyObject` to whoever waits on its token.
+    hands a committed write's `PendingOp` to whoever waits on its token.
     Its owners (`server.ServerNode`, `simnet.SimNode`) keep IO and time, and
     make at most one call per partition at a time.  The core alone decides
     what each peer is sent and when: it ships wherever the commit point can
@@ -343,7 +315,7 @@ class ReplicationCore:
 
     def __init__(self, store: Store, node_id: int, peer_ids: Iterable[int], role: str,
                  max_batch: int, send: Callable[[int, bytes], None],
-                 deliver: Callable[[int, ReplyObject], None]):
+                 deliver: Callable[[int, PendingOp], None]):
         self.send = send
         self.deliver = deliver
         self.down: set[int] = set()  # peers whose link dropped: shipped nothing

@@ -4,8 +4,12 @@ All correctness tests for replication run here: a seeded discrete-event
 transport with programmable delay, drop and duplication (FIFO per link, as a
 TCP connection would be), plus a simple executor-time model so pipelining and
 multi-partition parallelism are observable in simulated time.  Each node
-drives the same `replication.ReplicationCore` the threaded server drives, over
-the real engine, and nodes exchange real wire frames.
+drives the same `replication.ReplicationCore` the event-loop server drives,
+over the real engine, and nodes exchange real wire frames.
+
+A dropped frame is what loses frames over TCP, a dropped connection: both
+cores hear `link_down`, what the connection carried is lost, and both hear
+`link_up` a few link delays later, so the leader resends from the peer's ack.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from .replication import (
     GATE_REJECT,
     ROLE_FOLLOWER,
     ROLE_LEADER,
+    PendingOp,
     ReplicationCore,
-    ReplyObject,
     freshness_score,
 )
 from .wal import KIND_DELETE, KIND_PUT
@@ -102,25 +106,25 @@ class SimNode:
         self.exec_busy: dict[int, float] = {}
         self.exec_scheduled: dict[int, bool] = {}
 
-    def handle_frame(self, src: int, frame: bytes) -> None:
+    def handle_frame(self, src: int, frame: bytes, conn: int) -> None:
         if self.dead:
             return
         msg_type, payload, _ = wire.decode_frame(frame)
         if msg_type == wire.MSG_APPEND_ENTRIES:
-            self._on_append_entries(src, wire.AppendEntries.decode(payload))
+            self._on_append_entries(src, wire.AppendEntries.decode(payload), conn)
         elif msg_type in (wire.MSG_APPEND_ACK, wire.MSG_APPEND_NACK):
             self.cluster.in_flight[(self.node_id, src)] -= 1
             self.core.handle_ack(wire.AppendAck.decode(payload, msg_type))
         else:  # pragma: no cover - no other frames cross the sim transport
             raise ValueError(f"unexpected frame type {msg_type:#x}")
 
-    def _on_append_entries(self, src: int, msg: wire.AppendEntries) -> None:
-        """Follower side: the append takes executor time, then answers."""
+    def _on_append_entries(self, src: int, msg: wire.AppendEntries, conn: int) -> None:
+        """Follower side: the append takes executor time, then answers on `conn`."""
         def apply() -> None:
             if not self.dead:
                 answer = self.core.append(msg)
                 if answer is not None:
-                    self.cluster.send(self.node_id, src, answer)
+                    self.cluster.send(self.node_id, src, answer, conn)
 
         self._run_on_executor(msg.partition, len(msg.records), apply)
 
@@ -154,7 +158,7 @@ class SimNode:
 
         self._run_on_executor(pid, k, finish)
 
-    def _deliver(self, pid: int, reply: ReplyObject) -> None:
+    def _deliver(self, pid: int, reply: PendingOp) -> None:
         ticket = reply.token
         ticket.done = True
         ticket.result = reply.result
@@ -188,6 +192,8 @@ class SimCluster:
         self.in_flight: Counter[tuple[int, int]] = Counter()
         self.max_in_flight: Counter[tuple[int, int]] = Counter()
         self._link_clock: dict[tuple[int, int], float] = {}
+        # per node pair: the number of its connection, raised when one drops
+        self.conn: Counter[frozenset[int]] = Counter()
         self.nodes: dict[int, SimNode] = {}
         for nid in range(nodes):
             store = Store(
@@ -203,20 +209,23 @@ class SimCluster:
 
     # -- transport glue ----------------------------------------------------
 
-    def send(self, src: int, dst: int, frame: bytes) -> None:
-        if self.nodes[src].dead or self.nodes[dst].dead:
+    def send(self, src: int, dst: int, frame: bytes, conn: int | None = None) -> None:
+        """Put `frame` on connection `conn`, by default the current one.  Only
+        an answer can go to a dropped one: a down link's cores send nothing."""
+        pair = frozenset((src, dst))
+        if self.nodes[src].dead or self.nodes[dst].dead or conn not in (None, self.conn[pair]):
+            return
+        rng = self.transport.rng
+        if self.link.drop_prob and rng.random() < self.link.drop_prob:
+            self._drop_connection(src, dst)
             return
         # the frame's type byte, and the record count that ends the AppendEntries header
         if frame[4] == wire.MSG_APPEND_ENTRIES and any(frame[25:29]):
             link = (src, dst)
             self.in_flight[link] += 1
             self.max_in_flight[link] = max(self.max_in_flight[link], self.in_flight[link])
-        rng = self.transport.rng
-        if self.link.drop_prob and rng.random() < self.link.drop_prob:
-            return
-        copies = 1
-        if self.link.dup_prob and rng.random() < self.link.dup_prob:
-            copies = 2
+        conn = self.conn[pair]
+        copies = 2 if self.link.dup_prob and rng.random() < self.link.dup_prob else 1
         for _ in range(copies):
             delay = self.link.delay
             if self.link.jitter:
@@ -224,7 +233,26 @@ class SimCluster:
             # FIFO per link, like a TCP connection: never deliver out of order
             at = max(self.transport.now + delay, self._link_clock.get((src, dst), 0.0))
             self._link_clock[(src, dst)] = at
-            self.transport.schedule_at(at, lambda f=frame: self.nodes[dst].handle_frame(src, f))
+            self.transport.schedule_at(at, lambda f=frame: self._arrive(src, dst, f, conn))
+
+    def _arrive(self, src: int, dst: int, frame: bytes, conn: int) -> None:
+        if self.conn[frozenset((src, dst))] == conn:
+            self.nodes[dst].handle_frame(src, frame, conn)
+
+    def _drop_connection(self, a: int, b: int) -> None:
+        """Cut the pair both ways, losing what is in flight; reconnect a few
+        link delays later, unless a node is dead by then."""
+        self.conn[frozenset((a, b))] += 1
+        self.in_flight[(a, b)] = self.in_flight[(b, a)] = 0
+        self.nodes[a].core.link_down(b)
+        self.nodes[b].core.link_down(a)
+
+        def reconnect() -> None:
+            if not (self.nodes[a].dead or self.nodes[b].dead):
+                self.nodes[a].core.link_up(b)
+                self.nodes[b].core.link_up(a)
+
+        self.transport.schedule_at(self.transport.now + 3 * self.link.delay, reconnect)
 
     # -- client operations ----------------------------------------------------
 

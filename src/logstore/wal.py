@@ -241,8 +241,12 @@ class SegmentStore:
         return self._last_lsn
 
     def set_last_lsn(self, lsn: int) -> None:
-        """Recovery hook: establish the LSN frontier after a tail scan."""
+        """Recovery hook: establish the LSN frontier after a tail scan.  A
+        non-empty active segment holds the log's last record, and its manifest
+        entry is stale after a reopen that replays none of it."""
         self._last_lsn = max(self._last_lsn, lsn)
+        if self.active_meta.data_size:
+            self.active_meta.max_lsn = self._last_lsn
 
     # -- append path ------------------------------------------------------
 
@@ -262,9 +266,6 @@ class SegmentStore:
         except OSError as exc:  # disk full / IO failure
             self.read_only = True
             raise PartitionFaultError(str(exc)) from exc
-        if self.flush_policy == "record":
-            os.fsync(self._active_f.fileno())
-            self.counters.fsyncs += 1
         self._dirty_since_flush = True
         self._last_lsn = lsn
         meta.data_size += len(buf)
@@ -346,7 +347,7 @@ class SegmentStore:
 
     # -- sequential scans ---------------------------------------------------
 
-    def _unsorted_ids(self) -> list[int]:
+    def unsorted_ids(self) -> list[int]:
         return sorted(
             sid for sid, m in self.segments.items() if m.state != STATE_SORTED
         )
@@ -372,7 +373,7 @@ class SegmentStore:
 
     def scan_all(self) -> Iterator[tuple[LogRecord, LogPosition]]:
         """All records, sorted segments first, then unsorted in segment order."""
-        for sid in self.sorted_ids() + self._unsorted_ids():
+        for sid in self.sorted_ids() + self.unsorted_ids():
             yield from self.scan_segment(sid)
 
     def replay_tail(
@@ -380,7 +381,6 @@ class SegmentStore:
         handler: Callable[[LogRecord, LogPosition], None],
         start_segment: int = -1,
         start_offset: int = 0,
-        start_lsn: int = 1,
     ) -> TailReport:
         """Scan unsorted segments from a cursor, feeding records to `handler`.
 
@@ -389,7 +389,7 @@ class SegmentStore:
         never be an unacknowledged write.
         """
         report = TailReport()
-        ids = [sid for sid in self._unsorted_ids() if sid >= max(start_segment, 0)]
+        ids = [sid for sid in self.unsorted_ids() if sid >= max(start_segment, 0)]
         if self._active_f is not None:
             self._active_f.flush()
         for idx, sid in enumerate(ids):
@@ -412,10 +412,9 @@ class SegmentStore:
                         report.torn_offset = base + offset
                         return report
                     raise
-                if record.lsn >= start_lsn:
-                    handler(record, LogPosition(sid, base + offset))
-                    report.records_read += 1
-                    self.counters.records_replayed += 1
+                handler(record, LogPosition(sid, base + offset))
+                report.records_read += 1
+                self.counters.records_replayed += 1
                 report.last_valid_lsn = max(report.last_valid_lsn, record.lsn)
                 if meta.state == STATE_ACTIVE:
                     # re-establish in-memory stats the manifest cannot carry

@@ -23,7 +23,7 @@ class TestParsing:
             data_dir = /tmp/n1
             cache_bytes = 1048576
             cooling_fraction = 0.15
-            flush_policy = record
+            flush_policy = os
             leader_node = 0
         """)
         cfg = NodeConfig.load(p)
@@ -32,7 +32,7 @@ class TestParsing:
         assert cfg.cluster_size == 3
         assert cfg.partitions == 4
         assert cfg.cooling_fraction == 0.15
-        assert cfg.flush_policy == "record"
+        assert cfg.flush_policy == "os"
         assert cfg.addr_tuple() == ("127.0.0.1", 7401)
 
     def test_defaults_without_file(self):

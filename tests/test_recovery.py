@@ -194,6 +194,21 @@ class TestLsnFrontier:
         assert (store.get(b"a"), store.get(b"b")) == (None, b"2")
         store.close()
 
+    def test_compaction_after_a_reopen_that_replays_nothing_keeps_the_frontier(self, tmp_path):
+        p = Partition(0, tmp_path)
+        fill(p, 10)
+        write_checkpoint(p)
+        p.close()
+        p = Partition(0, tmp_path)  # the snapshot covers the whole log
+        assert p.store.active_meta.max_lsn == 10
+        p.compact()
+        p.close()
+        for _lsn, path in list_snapshots(tmp_path, 0):
+            path.write_bytes(b"junk")
+        p = Partition(0, tmp_path)
+        assert p.next_lsn == 11
+        p.close()
+
     def test_snapshot_trailer_holds_the_log_frontier(self, tmp_path):
         p = Partition(0, tmp_path)
         fill(p, 3)

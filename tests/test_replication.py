@@ -8,7 +8,7 @@ import pytest
 import logstore
 from logstore import wire
 from logstore.engine import Partition, Store
-from logstore.errors import NotLeaderError, PromotionRefusedError
+from logstore.errors import LogStoreError, NotLeaderError, PromotionRefusedError
 from logstore.recovery import recover_store
 from logstore.replication import (
     GATE_BLOCK,
@@ -150,13 +150,75 @@ class TestSendStage:
             r.dispatch(KIND_PUT, b"k%d" % i, b"v%d" % i)
         r.exec_batch()
         r.take_unsent(1)
-        r.on_ack(1, 5)          # quorum met; in-memory records pruned
+        r.on_ack(1, 5)          # quorum met
         r.on_ack(2, 5)
+        r.ready_replies()       # each op leaves memory with its reply
         assert not r.records
         r.reset_peer_cursor(2, 1)  # peer 2 actually lost everything
         records = r.take_unsent(2)
         assert [rec.lsn for rec in records] == [1, 2, 3, 4, 5]
         assert records[2].value == b"v2"
+
+
+class TestBackfillFromLog:
+    """Records whose replies are out are read back from the log by LSN."""
+
+    def replied(self, tmp_path, n, segment_bytes=2048):
+        p = Partition(0, tmp_path / "leader", segment_bytes=segment_bytes)
+        r = PartitionReplica(p, 0, 3, role=ROLE_LEADER, peer_ids=(1, 2))
+        for i in range(n):
+            r.dispatch(KIND_PUT, b"k%04d" % i, b"v%d" % i)
+        r.exec_batch(max_batch=n)
+        r.on_ack(1, n)
+        assert len(r.ready_replies()) == n and not r.records
+        return r
+
+    def test_backfill_scans_only_the_segments_that_reach_its_start(self, tmp_path):
+        r = self.replied(tmp_path, 300)
+        store = r.partition.store
+        reaching = [sid for sid in store.unsorted_ids()
+                    if store.segments[sid].max_lsn >= 250]
+        assert len(store.unsorted_ids()) >= 5 and len(reaching) < len(store.unsorted_ids())
+        r.reset_peer_cursor(2, 250)
+        before = r.partition.counters.seq_scans
+        records = r.take_unsent(2)
+        assert [rec.lsn for rec in records] == list(range(250, 301))
+        assert r.partition.counters.seq_scans - before == len(reaching)
+
+    def test_backfill_stops_past_its_end(self, tmp_path):
+        r = self.replied(tmp_path, 300)
+        r.reset_peer_cursor(2, 1)
+        before = r.partition.counters.seq_scans
+        records = r.take_unsent(2, max_records=10)
+        assert [rec.lsn for rec in records] == list(range(1, 11))
+        assert records[4].value == b"v4"
+        assert r.partition.counters.seq_scans - before == 1
+
+    def test_reopened_leader_backfills_from_its_log(self, tmp_path):
+        r = self.replied(tmp_path, 300)
+        r.partition.checkpoint()
+        r.partition.close()
+        p = Partition(0, tmp_path / "leader", segment_bytes=2048)
+        r = PartitionReplica(p, 0, 3, role=ROLE_LEADER, peer_ids=(1, 2))
+        r.reset_peer_cursor(2, 1)
+        records = r.take_unsent(2)
+        assert [rec.lsn for rec in records] == list(range(1, 301))
+        assert records[299].value == b"v299"
+
+    def test_backfill_of_a_compacted_start_raises(self, tmp_path):
+        r = self.replied(tmp_path, 5)
+        r.partition.compact()
+        for i in range(5, 10):
+            r.dispatch(KIND_PUT, b"k%04d" % i, b"v%d" % i)
+        r.exec_batch()
+        r.on_ack(1, 10)
+        r.ready_replies()
+        r.reset_peer_cursor(2, 3)   # lsn 3 lives only in the sorted segment
+        with pytest.raises(LogStoreError, match="compacted away"):
+            r.take_unsent(2, max_records=6)
+        r.reset_peer_cursor(2, 1)   # stops before the first record it finds
+        with pytest.raises(LogStoreError, match="compacted away"):
+            r.take_unsent(2, max_records=3)
 
 
 class TestFollowerAppend:
@@ -320,6 +382,7 @@ class TestSingleNodePrune:
                 r.exec_batch()
         r.exec_batch()
         assert r.state.potential_commit == 1000
+        assert len(r.ready_replies()) == 1000
         assert len(r.records) == 0
 
 

@@ -368,6 +368,8 @@ class TestCluster:
                     assert c.put(b"d%04d" % i, b"v%d" % i) > 0
             assert 2 in leader.core.down
             assert True not in to_node_2 and len(to_node_2) < 10, len(to_node_2)
+            # every write left the leader's memory with its reply
+            assert not leader.replicas[0].records
             self.wait_follower(ports, 1, 2000)
         finally:
             for node in nodes:

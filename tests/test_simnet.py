@@ -95,6 +95,21 @@ class TestPipelining:
             assert c.nodes[nid].replicas[0].state.flushed == 300
         c.close()
 
+    def test_lost_frame_drops_the_link_and_the_resend_catches_up(self, tmp_path):
+        # losing a frame drops the connection, so even the last frame of a
+        # burst is resent once the link is back
+        behind = []
+        for seed in range(50):
+            c = SimCluster(tmp_path / str(seed), nodes=3, partitions=1, seed=seed,
+                           link=LinkConfig(delay=0.001, drop_prob=0.3))
+            tickets = [c.put(b"k%d" % i, b"v%d" % i) for i in range(5)]
+            c.run_idle()
+            flushed = [c.nodes[n].replicas[0].state.flushed for n in range(3)]
+            if not all(t.done for t in tickets) or flushed != [5, 5, 5]:
+                behind.append((seed, flushed))
+            c.close()
+        assert behind == []
+
     def test_duplicated_frames_are_idempotent(self, tmp_path):
         c = SimCluster(tmp_path, nodes=3, partitions=1, seed=10,
                        link=LinkConfig(delay=0.001, dup_prob=0.15))
@@ -104,6 +119,41 @@ class TestPipelining:
         logs = [c.nodes[n].store.partitions[0].store.segment_path(0).read_bytes()
                 for n in range(3)]
         assert logs[0] == logs[1] == logs[2]
+        c.close()
+
+
+class TestLeaderMemory:
+    def test_dead_follower_pins_no_write_in_memory(self, tmp_path):
+        c = SimCluster(tmp_path, nodes=3, partitions=1, seed=3,
+                       link=LinkConfig(delay=0.001))
+        c.crash(2)
+        leader = c.nodes[0].replicas[0]
+        tickets = []
+        for start in range(0, 20_000, 64):
+            tickets += [c.put(b"k%05d" % i, b"v") for i in range(start, min(start + 64, 20_000))]
+            c.run(until=c.transport.now + 0.002)
+            acked = sum(t.done for t in tickets)
+            assert len(leader.records) == len(tickets) - acked, (start, acked)
+        c.run_idle()
+        assert all(t.done for t in tickets)
+        assert len(leader.records) == 0
+        c.close()
+
+    def test_returning_follower_catches_up_from_a_multi_segment_log(self, tmp_path):
+        c = SimCluster(tmp_path, nodes=3, partitions=1, seed=6,
+                       link=LinkConfig(delay=0.001), segment_bytes=16 * 1024)
+        leader = c.nodes[0]
+        leader.core.link_down(2)
+        tickets = [c.put(b"k%05d" % i, b"v%d" % i) for i in range(5000)]
+        c.run_idle()
+        assert all(t.done for t in tickets) and not leader.replicas[0].records
+        assert len(leader.store.partitions[0].store.unsorted_ids()) >= 3
+        assert c.nodes[2].replicas[0].state.flushed == 0
+        leader.core.link_up(2)
+        c.run_idle()
+        assert c.nodes[2].replicas[0].state.flushed == 5000
+        follower = c.nodes[2].store
+        assert all(follower.get(b"k%05d" % i) == b"v%d" % i for i in range(5000))
         c.close()
 
 

@@ -245,7 +245,7 @@ class TestTailReplay:
         seen = []
         report = store.replay_tail(lambda r, p: seen.append(r.lsn),
                                    start_segment=cursor[0],
-                                   start_offset=cursor[1], start_lsn=101)
+                                   start_offset=cursor[1])
         assert seen == list(range(101, 126))
         assert report.records_read == 25
         store.close()
