@@ -1,12 +1,14 @@
 """Adaptive radix tree mapping key bytes to log positions.
 
-Inner nodes resize among 4/16/48/256-child layouts with pessimistic path
-compression (the full prefix bytes are stored on the node).  Keys that are
-prefixes of other keys are held in the inner node's `value_leaf` slot, which
-sorts before all children, so whole-tree iteration is plain byte order.
+Inner nodes have two layouts, with pessimistic path compression (the full
+prefix bytes are stored on the node): a sorted list of up to 48 children and
+a 256-slot array.  ART's Node4/16/48/256 kinds remain as labels (`kind`).
+Keys that are prefixes of other keys are held in the inner node's
+`value_leaf` slot, which sorts before all children, so whole-tree iteration
+is plain byte order.
 
 The shape is canonical: an inner node exists exactly where keys branch, and
-its kind is always the smallest one that holds its children.  That is what
+its layout is a list exactly when it has at most 48 children.  That is what
 lets `snapshot_load` build the tree bottom-up from sorted entries and end
 with the same tree that inserting them one by one would give.
 
@@ -62,20 +64,24 @@ class _Leaf:
             self.key, _new_tuple(LogPosition, (self.segment_id, self.offset)), self.version_lsn))
 
 
-# Every inner kind answers the same calls, so a descent dispatches on the
+# Both inner layouts answer the same calls, so a descent dispatches on the
 # node's own class:
 #   find(byte)          child or None
-#   set_child(byte, c)  insert or replace; returns the node, or a bigger kind
-#   remove_child(byte)  returns the node, or a smaller kind
+#   set_child(byte, c)  insert or replace; returns the node, or a _Node256
+#   remove_child(byte)  returns the node, or a _ListNode
 #   pairs()             [(byte, child)] in byte order
 #   child_list()        children in byte order
 #   children_after(b)   children with a byte > b, in byte order
+#
+# `kind` is a label, the smallest of ART's Node4/16/48/256 that holds the
+# children.  In CPython every slot of Node48's 256-entry byte index is an
+# 8-byte pointer, as big as Node256's array, so the list layout serves
+# Node4, Node16 and Node48.
 
 
-class _Node4:
+class _ListNode:
+    """Up to 48 children: ascending child bytes, bisected, beside the children."""
     __slots__ = ("prefix", "value_leaf", "keys", "children")
-    kind = NODE4
-    capacity = 4
 
     def __init__(self, prefix: bytes):
         self.prefix = prefix
@@ -86,6 +92,11 @@ class _Node4:
     @property
     def count(self) -> int:
         return len(self.keys)
+
+    @property
+    def kind(self) -> int:
+        n = len(self.keys)
+        return NODE4 if n <= NODE4 else NODE16 if n <= NODE16 else NODE48
 
     def find(self, byte: int):
         keys = self.keys
@@ -100,7 +111,7 @@ class _Node4:
         if i < len(keys) and keys[i] == byte:
             self.children[i] = child
             return self
-        if len(keys) == self.capacity:
+        if len(keys) == NODE48:
             return _resized(self, self.pairs(), (byte, child))
         keys.insert(i, byte)
         self.children.insert(i, child)
@@ -110,8 +121,6 @@ class _Node4:
         i = bisect_left(self.keys, byte)
         del self.keys[i]
         del self.children[i]
-        if self.kind == NODE16 and len(self.keys) <= NODE4:
-            return _resized(self, self.pairs())
         return self
 
     def pairs(self) -> list[tuple[int, object]]:
@@ -122,69 +131,6 @@ class _Node4:
 
     def children_after(self, byte: int) -> list[object]:
         return self.children[bisect_right(self.keys, byte):]
-
-
-class _Node16(_Node4):
-    __slots__ = ()
-    kind = NODE16
-    capacity = 16
-
-
-class _Node48:
-    __slots__ = ("prefix", "value_leaf", "child_index", "children", "free", "count")
-    kind = NODE48
-
-    def __init__(self, prefix: bytes):
-        self.prefix = prefix
-        self.value_leaf: _Leaf | None = None
-        self.child_index = [-1] * 256
-        self.children: list[object] = []
-        self.free: list[int] = []
-        self.count = 0
-
-    def find(self, byte: int):
-        slot = self.child_index[byte]
-        return self.children[slot] if slot >= 0 else None
-
-    def set_child(self, byte: int, child):
-        slot = self.child_index[byte]
-        if slot >= 0:
-            self.children[slot] = child
-            return self
-        if self.count == NODE48:
-            return _resized(self, self.pairs(), (byte, child))
-        if self.free:
-            slot = self.free.pop()
-            self.children[slot] = child
-        else:
-            slot = len(self.children)
-            self.children.append(child)
-        self.child_index[byte] = slot
-        self.count += 1
-        return self
-
-    def remove_child(self, byte: int):
-        slot = self.child_index[byte]
-        self.child_index[byte] = -1
-        self.children[slot] = None
-        self.free.append(slot)
-        self.count -= 1
-        if self.count <= NODE16:
-            return _resized(self, self.pairs())
-        return self
-
-    def pairs(self) -> list[tuple[int, object]]:
-        children = self.children
-        return [(byte, children[slot]) for byte, slot in enumerate(self.child_index)
-                if slot >= 0]
-
-    def child_list(self) -> list[object]:
-        children = self.children
-        return [children[slot] for slot in self.child_index if slot >= 0]
-
-    def children_after(self, byte: int) -> list[object]:
-        children = self.children
-        return [children[slot] for slot in self.child_index[byte + 1:] if slot >= 0]
 
 
 class _Node256:
@@ -225,32 +171,24 @@ class _Node256:
 
 
 def _make_node(prefix: bytes, value_leaf, keys: list[int], children: list[object]):
-    """The smallest node kind holding `children` under ascending `keys`."""
-    n = len(keys)
-    if n <= NODE16:
-        node = _Node4(prefix) if n <= NODE4 else _Node16(prefix)
+    """The layout that holds `children` under ascending `keys`."""
+    if len(keys) <= NODE48:
+        node = _ListNode(prefix)
         node.keys = keys
         node.children = children
-    elif n <= NODE48:
-        node = _Node48(prefix)
-        index = node.child_index
-        for slot, byte in enumerate(keys):
-            index[byte] = slot
-        node.children = children
-        node.count = n
     else:
         node = _Node256(prefix)
         slots = node.children
         for byte, child in zip(keys, children):
             slots[byte] = child
-        node.count = n
+        node.count = len(keys)
     node.value_leaf = value_leaf
     return node
 
 
 def _resized(node, pairs: list[tuple[int, object]], extra: tuple[int, object] | None = None):
     """`node`'s prefix and value leaf over `pairs` (plus `extra`), in the
-    smallest kind that holds them."""
+    layout that holds them."""
     if extra is not None:
         insort(pairs, extra)
     return _make_node(node.prefix, node.value_leaf,
@@ -567,10 +505,10 @@ def _update_leaf(leaf: _Leaf, position: LogPosition, version_lsn: int) -> IndexE
 
 
 def _split_leaf(old: _Leaf, new: _Leaf, depth: int):
-    """Replace a leaf by a Node4 distinguishing two keys below `depth`."""
+    """Replace a leaf by a node distinguishing two keys below `depth`."""
     a, b = old.key[depth:], new.key[depth:]
     common = _common_prefix_len(a, b)
-    node = _Node4(a[:common])
+    node = _ListNode(a[:common])
     for leaf, rest in ((old, a), (new, b)):
         if len(rest) == common:
             node.value_leaf = leaf
@@ -582,7 +520,7 @@ def _split_leaf(old: _Leaf, new: _Leaf, depth: int):
 def _split_node(node, new_leaf: _Leaf, depth: int, common: int):
     """Split a compressed prefix at `common` and hang the old node below."""
     p = node.prefix
-    parent = _Node4(p[:common])
+    parent = _ListNode(p[:common])
     node.prefix = p[common + 1:]
     parent.set_child(p[common], node)
     rest = new_leaf.key[depth + common:]

@@ -75,8 +75,10 @@ class NodeConfig:
             cfg.data_dir = env_dir
         if cfg.node_id in cfg.peers:
             raise ConfigError(f"duplicate node id {cfg.node_id} in peers")
-        if cfg.partitions < 1:
-            raise ConfigError("partitions must be >= 1")
+        # a max_batch of 0 would execute nothing and spin the event loop
+        for key in ("partitions", "max_batch", "queue_depth"):
+            if getattr(cfg, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if cfg.flush_policy not in ("group", "os"):
             raise ConfigError(f"unknown flush policy {cfg.flush_policy!r}")
         return cfg

@@ -39,14 +39,13 @@ GATE_REJECT = "reject"
 
 @dataclass
 class LsnState:
-    """replayed <= potential_commit <= flushed, all monotone."""
+    """potential_commit <= flushed, both monotone."""
 
     flushed: int = 0
     potential_commit: int = 0
-    replayed: int = 0
 
     def check(self) -> None:
-        assert 0 <= self.replayed <= self.potential_commit <= self.flushed, self
+        assert 0 <= self.potential_commit <= self.flushed, self
 
 
 @dataclass
@@ -94,7 +93,6 @@ class PartitionReplica:
         self.state.flushed = flushed
         if role == ROLE_LEADER:
             self.state.potential_commit = flushed if cluster_size == 1 else 0
-            self.state.replayed = self.state.potential_commit
         # leader-side channel bookkeeping
         self.next_lsn = flushed + 1
         self.pending_exec: deque[PendingOp] = deque()
@@ -210,7 +208,6 @@ class PartitionReplica:
         candidate = min(candidate, self.state.flushed)
         if candidate > self.state.potential_commit:
             self.state.potential_commit = candidate
-            self.state.replayed = candidate  # leader index is always current
 
     def ready_replies(self) -> list[PendingOp]:
         """Reply stage: every op at or below the quorum commit point, which
@@ -251,22 +248,17 @@ class PartitionReplica:
         commit = min(leader_commit_lsn, self.state.flushed)
         if commit > self.state.potential_commit:
             self.state.potential_commit = commit
-        # log-as-database: entries are indexed as they arrive, so advancing
-        # replayed to the commit point is the entire replay phase
-        if self.state.potential_commit > self.state.replayed:
-            self.state.replayed = self.state.potential_commit
         return "ack", self.state.flushed
 
     def read_gate(self, read_view_lsn: int) -> str:
         """Follower read admission for a client-provided view LSN: one of
-        GATE_SERVE, GATE_BLOCK or GATE_REJECT."""
+        GATE_SERVE, GATE_BLOCK or GATE_REJECT.  Entries are indexed as they
+        arrive (log-as-database), so a view at or below the commit point is
+        served at once: there is no replay point to wait for."""
         st = self.state
         if read_view_lsn > st.flushed:
             return GATE_REJECT
-        if read_view_lsn < st.replayed:
-            return GATE_SERVE
         if read_view_lsn <= st.potential_commit:
-            st.replayed = st.potential_commit  # zero-cost "replay"
             return GATE_SERVE
         return GATE_BLOCK
 

@@ -477,7 +477,7 @@ class ServerNode:
     def _stats_text(self) -> str:
         return "\n".join(
             f"partition={pid} role={r.role} epoch={r.epoch} flushed={r.state.flushed} "
-            f"potential_commit={r.state.potential_commit} replayed={r.state.replayed} "
+            f"potential_commit={r.state.potential_commit} "
             f"live_keys={r.partition.index.size} "
             f"cache_hit_ratio={r.partition.cache.stats()['hit_ratio']:.4f}"
             for pid, r in self.replicas.items()

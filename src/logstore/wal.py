@@ -14,7 +14,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -106,22 +106,13 @@ def _frame_reaches_eof(buf: bytes, offset: int) -> bool:
 class SegmentMeta:
     segment_id: int
     state: str
-    min_lsn: int = 0
     max_lsn: int = 0
     data_size: int = 0        # bytes of records in the file
 
-    def to_json(self) -> dict:
-        return {
-            "segment_id": self.segment_id,
-            "state": self.state,
-            "min_lsn": self.min_lsn,
-            "max_lsn": self.max_lsn,
-            "data_size": self.data_size,
-        }
-
     @classmethod
     def from_json(cls, d: dict) -> "SegmentMeta":
-        return cls(**d)
+        # a MANIFEST written by an older version also carries "min_lsn"
+        return cls(d["segment_id"], d["state"], d["max_lsn"], d["data_size"])
 
 
 @dataclass
@@ -180,7 +171,7 @@ class SegmentStore:
             {
                 "partition": self.partition_id,
                 "next_segment_id": self.next_segment_id,
-                "segments": [m.to_json() for m in sorted(self.segments.values(), key=lambda m: m.segment_id)],
+                "segments": [asdict(m) for m in sorted(self.segments.values(), key=lambda m: m.segment_id)],
             }
         ).encode()
         tmp = self._manifest_path().with_suffix(".tmp")
@@ -270,8 +261,6 @@ class SegmentStore:
         self._last_lsn = lsn
         meta.data_size += len(buf)
         meta.max_lsn = lsn
-        if meta.min_lsn == 0:
-            meta.min_lsn = lsn
         self.counters.append_bytes += len(buf)
         return LogPosition(self._active_id, offset)
 
@@ -419,8 +408,6 @@ class SegmentStore:
                 if meta.state == STATE_ACTIVE:
                     # re-establish in-memory stats the manifest cannot carry
                     meta.max_lsn = max(meta.max_lsn, record.lsn)
-                    if meta.min_lsn == 0:
-                        meta.min_lsn = record.lsn
                 offset += consumed
         return report
 
@@ -490,7 +477,6 @@ class SegmentStore:
         meta = SegmentMeta(
             segment_id=sid,
             state=STATE_SORTED,
-            min_lsn=min((record.lsn for record in live), default=0),
             max_lsn=max(self.segments[i].max_lsn for i in inputs),
             data_size=offset,
         )

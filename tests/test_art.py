@@ -130,6 +130,33 @@ class TestAdaptivity:
         tree.put(b"aabb0000", pos(3), 3)
         assert tree.node_kinds() == {4: 2}  # prefix split at "aa"
 
+    def test_layout_changes_only_across_48_and_49_children(self):
+        def check(tree, n):
+            assert tree.root_kind() == min(k for k in (4, 16, 48, 256) if k >= n)
+            for b in range(50):
+                entry = tree.get(b"x" + bytes([b]))
+                assert (entry is not None) == (b < n)
+                assert entry is None or entry.version_lsn == b + 1
+
+        tree = self.build(2)
+        root = tree.root
+        for n in range(3, 49):
+            tree.put(b"x" + bytes([n - 1]), pos(n), n)
+            assert tree.root is root  # one list node from 2 children to 48
+            check(tree, n)
+        tree.put(b"x" + bytes([48]), pos(49), 49)
+        grown = tree.root
+        assert grown is not root and type(grown).__name__ == "_Node256"
+        check(tree, 49)
+        tree.remove(b"x" + bytes([48]))
+        assert tree.root is not grown and type(tree.root) is type(root)
+        check(tree, 48)
+        shrunk = tree.root
+        for n in range(47, 1, -1):
+            tree.remove(b"x" + bytes([n]))
+            assert tree.root is shrunk
+            check(tree, n)
+
 
 class TestPrefixKeys:
     def test_key_that_is_prefix_of_another(self):

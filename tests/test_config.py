@@ -79,3 +79,15 @@ class TestValidation:
     def test_bad_partition_count(self, tmp_path):
         with pytest.raises(ConfigError):
             NodeConfig.load(write(tmp_path, "partitions = 0"))
+
+    @pytest.mark.parametrize("key", ["max_batch", "queue_depth"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_batch_and_queue_must_be_positive(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            NodeConfig.load(write(tmp_path, f"{key} = {value}"))
+        with pytest.raises(ConfigError, match=key):
+            NodeConfig.load(overrides={key: value})
+
+    def test_batch_and_queue_of_one_load(self, tmp_path):
+        cfg = NodeConfig.load(write(tmp_path, "max_batch = 1\nqueue_depth = 1"))
+        assert (cfg.max_batch, cfg.queue_depth) == (1, 1)

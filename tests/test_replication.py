@@ -230,7 +230,7 @@ class TestFollowerAppend:
         status, flushed = f.handle_append_entries(1, 0, self.records([1, 2, 3]))
         assert (status, flushed) == ("ack", 3)
         assert f.partition.get(b"k2") == b"v2"    # index upkeep == replay
-        assert f.state == LsnState(flushed=3, potential_commit=0, replayed=0)
+        assert f.state == LsnState(flushed=3, potential_commit=0)
 
     def test_commit_piggyback_advances_replayed_for_free(self, tmp_path):
         f = follower(tmp_path)
@@ -238,7 +238,7 @@ class TestFollowerAppend:
         assert f.state.potential_commit == 0
         f.handle_append_entries(1, 5, self.records([6]))
         assert f.state.potential_commit == 5
-        assert f.state.replayed == 5              # no replay work needed
+        assert f.read_gate(5) == GATE_SERVE       # no replay work needed
 
     def test_commit_clamped_to_flushed(self, tmp_path):
         f = follower(tmp_path)
@@ -300,37 +300,31 @@ class TestLogIdentity:
 
 
 class TestReadGate:
-    def make(self, tmp_path, flushed, pc, replayed):
+    def make(self, tmp_path, flushed, pc):
         f = follower(tmp_path)
         f.state.flushed = flushed
         f.state.potential_commit = pc
-        f.state.replayed = replayed
         f.state.check()
         return f
 
     def test_older_than_replayed_serves(self, tmp_path):
-        f = self.make(tmp_path, flushed=12, pc=10, replayed=10)
+        f = self.make(tmp_path, flushed=12, pc=10)
         assert f.read_gate(5) == GATE_SERVE
 
-    def test_between_replayed_and_commit_serves_after_advance(self, tmp_path):
-        f = self.make(tmp_path, flushed=12, pc=10, replayed=8)
-        assert f.read_gate(9) == GATE_SERVE
-        assert f.state.replayed == 10
-
     def test_beyond_commit_blocks(self, tmp_path):
-        f = self.make(tmp_path, flushed=12, pc=10, replayed=10)
+        f = self.make(tmp_path, flushed=12, pc=10)
         assert f.read_gate(11) == GATE_BLOCK
         # once the commit point catches up the same view is servable
         f.state.potential_commit = 11
         assert f.read_gate(11) == GATE_SERVE
 
     def test_beyond_flushed_rejects(self, tmp_path):
-        f = self.make(tmp_path, flushed=12, pc=10, replayed=10)
+        f = self.make(tmp_path, flushed=12, pc=10)
         assert f.read_gate(13) == GATE_REJECT
 
     def test_state_ordering_invariant(self, tmp_path):
         with pytest.raises(Exception):
-            self.make(tmp_path, flushed=5, pc=8, replayed=2)
+            self.make(tmp_path, flushed=5, pc=8)
 
 
 class TestFreshness:

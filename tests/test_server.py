@@ -76,7 +76,7 @@ class TestSingleNode:
         c.put(b"x", b"y")
         text = c.stats()
         assert "role=leader" in text
-        assert "flushed=" in text and "replayed=" in text
+        assert "flushed=" in text and "potential_commit=" in text
 
     def test_empty_value_roundtrip(self, single):
         _, c = single

@@ -1,5 +1,6 @@
 """Log framing, segment lifecycle, and compaction."""
 
+import json
 import os
 import zlib
 
@@ -162,6 +163,29 @@ class TestSegments:
         store.close()
         reopened = make_store(tmp_path, segment_bytes=128)
         assert sorted(reopened.segments) == ids
+        reopened.close()
+
+    def test_manifest_with_min_lsn_still_opens(self, tmp_path):
+        # older versions wrote a "min_lsn" per segment; it is read and dropped
+        store = make_store(tmp_path, segment_bytes=128)
+        positions = {}
+        for i in range(20):
+            positions[i + 1] = store.append(KIND_PUT, b"k%02d" % i, b"v" * 8, i + 1)
+            if store.should_rotate():
+                store.seal_and_rotate()
+        metas = {sid: (m.state, m.max_lsn, m.data_size) for sid, m in store.segments.items()}
+        store.close()
+        manifest = tmp_path / "MANIFEST"
+        data = json.loads(manifest.read_bytes())
+        for d in data["segments"]:
+            assert "min_lsn" not in d
+            d["min_lsn"] = 1
+        manifest.write_text(json.dumps(data))
+        reopened = make_store(tmp_path, segment_bytes=128)
+        assert {sid: (m.state, m.max_lsn, m.data_size)
+                for sid, m in reopened.segments.items()} == metas
+        assert [reopened.read_at(p).lsn for p in positions.values()] == list(positions)
+        reopened.append(KIND_PUT, b"after", b"v", 21)
         reopened.close()
 
     def test_scan_all_yields_every_record(self, tmp_path):
