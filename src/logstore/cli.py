@@ -1,4 +1,4 @@
-"""Command-line entry points: serve a node, talk to one, or run benchmarks."""
+"""Command-line entry points: serve a node, or talk to one."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import signal
 import sys
 import threading
 
-from .bench import SCENARIOS, run_scenario
 from .client import Client
 from .config import NodeConfig
 from .errors import LogStoreError
@@ -67,12 +66,6 @@ def _cmd_cli(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    run_scenario(args.scenario, args.out, seed=args.seed)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="logstore")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -91,12 +84,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="put K V | get K | del K | range LO HI [N] | "
                         "batchget K... | stats | promote P")
     p.set_defaults(fn=_cmd_cli)
-
-    p = sub.add_parser("bench", help="run a simulated-time cost-model scenario")
-    p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
     try:

@@ -39,10 +39,6 @@ class NodeConfig:
     leader_node: int = 0
     seed: int = 0
 
-    @property
-    def cluster_size(self) -> int:
-        return len(self.peers) + 1
-
     @classmethod
     def load(cls, path: Path | str | None = None, overrides: dict | None = None) -> "NodeConfig":
         values: dict[str, str] = {}
@@ -53,23 +49,30 @@ class NodeConfig:
                 values[key] = str(val)
         cfg = cls()
         for key, raw in values.items():
-            if key == "peers":
-                peers = {}
-                for part in filter(None, (p.strip() for p in raw.split(","))):
-                    if "@" not in part:
-                        raise ConfigError(f"bad peer spec {part!r}")
-                    nid, _, addr = part.partition("@")
-                    peers[int(nid)] = addr
-                cfg.peers = peers
-            elif key in ("node_id", "partitions", "cache_bytes", "segment_bytes",
-                         "max_batch", "queue_depth", "leader_node", "seed"):
-                setattr(cfg, key, int(raw))
-            elif key == "cooling_fraction":
-                cfg.cooling_fraction = float(raw)
-            elif key in ("listen", "data_dir", "flush_policy"):
-                setattr(cfg, key, raw)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            try:
+                if key == "peers":
+                    peers = {}
+                    for part in filter(None, (p.strip() for p in raw.split(","))):
+                        if "@" not in part:
+                            raise ConfigError(f"bad peer spec {part!r}")
+                        nid, _, addr = part.partition("@")
+                        cfg.addr_tuple(addr)
+                        peers[int(nid)] = addr
+                    cfg.peers = peers
+                elif key in ("node_id", "partitions", "cache_bytes", "segment_bytes",
+                             "max_batch", "queue_depth", "leader_node", "seed"):
+                    setattr(cfg, key, int(raw))
+                elif key == "cooling_fraction":
+                    cfg.cooling_fraction = float(raw)
+                elif key == "listen":
+                    cfg.listen = raw
+                    cfg.addr_tuple()  # a bad port fails here, not at bind
+                elif key in ("data_dir", "flush_policy"):
+                    setattr(cfg, key, raw)
+                else:
+                    raise ConfigError(f"unknown config key {key!r}")
+            except ValueError:
+                raise ConfigError(f"bad value for {key}: {raw!r}") from None
         env_dir = os.environ.get("LOGSTORE_DATA_DIR")
         if env_dir:
             cfg.data_dir = env_dir
@@ -81,8 +84,13 @@ class NodeConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if cfg.flush_policy not in ("group", "os"):
             raise ConfigError(f"unknown flush policy {cfg.flush_policy!r}")
+        if not 0.0 < cfg.cooling_fraction < 1.0:
+            raise ConfigError("cooling_fraction must be in (0, 1)")
         return cfg
 
     def addr_tuple(self, addr: str | None = None) -> tuple[str, int]:
+        """`host:port` as a (host, port) pair; ValueError on a bad port."""
         host, _, port = (addr or self.listen).rpartition(":")
+        if not 0 <= int(port) <= 0xFFFF:
+            raise ValueError(f"port {port} out of range")
         return host, int(port)

@@ -38,4 +38,4 @@ class PromotionRefusedError(LogStoreError):
 
 
 class ConfigError(LogStoreError):
-    """Invalid server or bench configuration."""
+    """Invalid node configuration."""

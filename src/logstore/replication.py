@@ -193,8 +193,6 @@ class PartitionReplica:
 
     def on_ack(self, peer: int, last_flushed_lsn: int) -> None:
         """Ack stage: cumulative ack — one LSN high-water mark per node."""
-        if peer not in self.hwm:
-            return  # unknown node; ignore
         if last_flushed_lsn > self.hwm[peer]:
             self.hwm[peer] = last_flushed_lsn
             # anything the follower already flushed never needs resending
@@ -270,8 +268,11 @@ class PartitionReplica:
         """Role flip to leader; no replay pass, the index is already current.
 
         Refused when a reachable peer has a longer log.  `peer_flushed` maps
-        the reachable peers to their flushed LSNs.
+        the reachable peers to their flushed LSNs.  A leader stays as it is:
+        its epoch, cursors and unanswered writes are kept.
         """
+        if self.role == ROLE_LEADER:
+            return
         for peer, flushed in peer_flushed.items():
             if flushed > self.state.flushed:
                 raise PromotionRefusedError(
@@ -358,9 +359,10 @@ class ReplicationCore:
         ).encode()
 
     def handle_ack(self, ack: wire.AppendAck) -> None:
-        """Leader: a nack rewinds the peer's cursor, an ack may commit."""
+        """Leader: a nack rewinds the peer's cursor, an ack may commit.
+        An answer from a node outside the cluster is ignored."""
         replica = self.replicas.get(ack.partition)
-        if replica is None or replica.role != ROLE_LEADER:
+        if replica is None or replica.role != ROLE_LEADER or ack.node_id not in replica.hwm:
             return
         if ack.msg_type == wire.MSG_APPEND_NACK:
             replica.reset_peer_cursor(ack.node_id, ack.last_flushed_lsn)

@@ -422,6 +422,8 @@ class ServerNode:
             return wire.encode_stats_result(self._stats_text())
         if msg_type == wire.MSG_PROMOTE:
             pid = wire.decode_promote(payload)
+            if pid not in self.replicas:
+                return wire.encode_err(wire.ERR_BAD_REQUEST, f"no partition {pid}")
             self._settle(pid)
             self.core.take_over(pid, self._probe_peer_flushed(pid))
             self.config.leader_node = self.config.node_id

@@ -1,4 +1,4 @@
-"""Command-line surface: bench subcommand and client commands end to end."""
+"""Command-line surface: serve and client commands end to end."""
 
 import threading
 
@@ -51,11 +51,11 @@ class TestClientCommands:
         assert main(["cli", "--addr", self.addr(server), "put", "only-key"]) == 2
 
 
-class TestBenchCommand:
-    def test_bench_writes_csv(self, tmp_path, capsys):
-        out = tmp_path / "r.csv"
-        # smallest scenario invocation that exercises the full path
-        rc = main(["bench", "--scenario", "freshness",
-                   "--out", str(out), "--seed", "3"])
-        assert rc == 0
-        assert out.exists() and out.read_text().startswith("time,")
+class TestServeCommand:
+    def test_bad_config_value_exits_1_without_a_traceback(self, tmp_path, capsys):
+        conf = tmp_path / "node.conf"
+        conf.write_text("listen = 127.0.0.1:notaport\n")
+        assert main(["serve", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "listen" in err
+        assert "Traceback" not in err

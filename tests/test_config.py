@@ -29,7 +29,6 @@ class TestParsing:
         cfg = NodeConfig.load(p)
         assert cfg.node_id == 1
         assert cfg.peers == {0: "127.0.0.1:7400", 2: "127.0.0.1:7402"}
-        assert cfg.cluster_size == 3
         assert cfg.partitions == 4
         assert cfg.cooling_fraction == 0.15
         assert cfg.flush_policy == "os"
@@ -37,7 +36,7 @@ class TestParsing:
 
     def test_defaults_without_file(self):
         cfg = NodeConfig.load()
-        assert cfg.node_id == 0 and cfg.cluster_size == 1
+        assert cfg.node_id == 0 and cfg.peers == {}
         assert cfg.flush_policy == "group"
 
     def test_overrides_beat_file(self, tmp_path):
@@ -91,3 +90,24 @@ class TestValidation:
     def test_batch_and_queue_of_one_load(self, tmp_path):
         cfg = NodeConfig.load(write(tmp_path, "max_batch = 1\nqueue_depth = 1"))
         assert (cfg.max_batch, cfg.queue_depth) == (1, 1)
+
+    @pytest.mark.parametrize("line, key", [
+        ("partitions = four", "partitions"),
+        ("seed = 1.5", "seed"),
+        ("peers = x@127.0.0.1:7401", "peers"),
+        ("peers = 1@127.0.0.1", "peers"),
+        ("peers = 1@127.0.0.1:65536", "peers"),
+        ("listen = 127.0.0.1:notaport", "listen"),
+        ("listen = 127.0.0.1:-1", "listen"),
+        ("cooling_fraction = much", "cooling_fraction"),
+        ("cooling_fraction = 1.5", "cooling_fraction"),
+        ("cooling_fraction = 0", "cooling_fraction"),
+    ])
+    def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, line, key):
+        with pytest.raises(ConfigError, match=key):
+            NodeConfig.load(write(tmp_path, line))
+
+    def test_edge_ports_load(self, tmp_path):
+        cfg = NodeConfig.load(write(tmp_path, "listen = 127.0.0.1:0\npeers = 1@h:65535"))
+        assert cfg.addr_tuple() == ("127.0.0.1", 0)
+        assert cfg.addr_tuple(cfg.peers[1]) == ("h", 65535)

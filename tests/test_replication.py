@@ -431,6 +431,17 @@ class TestCoreWithoutTransport:
         assert self.replies == ["t1"]
         assert cores[0].replicas[0].state.potential_commit == 1
 
+    def test_answers_from_a_node_outside_the_cluster_are_ignored(self, tmp_path):
+        cores = self.make(tmp_path)
+        links = {1: [], 2: []}  # like the server's: one link per configured peer
+        cores[0].send = lambda peer, frame: links[peer].append(frame)
+        cores[0].handle_ack(wire.AppendAck(0, 1, 9, 1, wire.MSG_APPEND_NACK))
+        cores[0].handle_ack(wire.AppendAck(0, 1, 9, 5, wire.MSG_APPEND_ACK))
+        cores[0].write(0, KIND_PUT, b"k", b"v", "t1")
+        cores[0].execute(0)
+        assert [len(frames) for frames in links.values()] == [1, 1]
+        assert self.replies == []  # node 9's ack commits nothing
+
     def test_gap_is_nacked_and_the_resend_fills_it(self, tmp_path):
         cores = self.make(tmp_path)
         for i in range(3):

@@ -166,6 +166,14 @@ class TestSingleNode:
             node.stop()
         assert not any(t.name in (FLUSH_THREAD, LOOP_THREAD) for t in threading.enumerate())
 
+    def test_promote_of_an_unknown_partition_keeps_the_connection(self, single):
+        node, c = single
+        c.put(b"k", b"v")
+        with pytest.raises(ClientError) as err:
+            c.promote(99)
+        assert err.value.code == wire.ERR_BAD_REQUEST
+        assert c.get(b"k") == b"v"
+
     def test_reads_are_served_while_a_write_syncs(self, single, monkeypatch):
         node, client = single
         client.put(b"r", b"1")

@@ -215,6 +215,16 @@ class TestFailover:
         assert c.nodes[2].store.get(b"after") == b"crash"
         c.close()
 
+    def test_promoting_the_leader_keeps_its_unanswered_writes(self, tmp_path):
+        c = SimCluster(tmp_path, nodes=3, seed=1, link=LinkConfig(delay=0.002))
+        tickets = [c.put(b"k%d" % i, b"v") for i in range(20)]
+        c.run(until=c.transport.now + 0.001)  # shipped, none acked yet
+        c.promote(0, 0)
+        c.run_idle()
+        assert all(t.done for t in tickets)
+        assert c.nodes[0].replicas[0].epoch == 1
+        c.close()
+
     def test_promotion_of_lagging_node_refused(self, tmp_path):
         from logstore.errors import PromotionRefusedError
         c = SimCluster(tmp_path, nodes=3, partitions=1, seed=8,
