@@ -13,7 +13,11 @@ lets `snapshot_load` build the tree bottom-up from sorted entries and end
 with the same tree that inserting them one by one would give.
 
 Index entries carry a version LSN; `put` replaces an entry only when the new
-version is strictly higher, which makes recovery replay idempotent.
+version is strictly higher, which makes recovery replay idempotent.  A leaf
+holds its key and one int, `version_lsn << 64 | offset << 32 | segment_id`,
+after the ART paper's combined pointer/value slots: 84 bytes a leaf by
+tracemalloc, the key not counted.  The log keeps every record start below
+4 GiB in its segment (`wal.MAX_SEGMENT_BYTES`), so an offset fits its 32 bits.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import struct
 import zlib
 from bisect import bisect_left, bisect_right, insort
+from itertools import islice
 from typing import BinaryIO, Iterator, NamedTuple
 
 from .errors import SnapshotCorruptError
@@ -34,12 +39,16 @@ NODE256 = 256
 _SNAP_MAGIC = 0x4C534958  # "LSIX"
 _SNAP_VERSION = 1
 _SNAP_HEADER = struct.Struct("<IB")
-_SNAP_ENTRY = struct.Struct("<IIQQ")    # key_len, segment_id, offset, version_lsn
+# an entry is key_len u32, segment_id u32, offset u64, version_lsn u64; read
+# as below, the middle is a leaf's low 64 bits and the offset's high half
+_SNAP_ENTRY = struct.Struct("<IQIQ")    # key_len, offset << 32 | segment_id, 0, version_lsn
 _SNAP_TRAILER = struct.Struct("<QQIQI")  # entry_count, last_lsn, cursor_seg, cursor_off, crc
 _SNAP_WRITE_CHUNK = 4096                 # entries per sink.write
 
 _from_bytes = int.from_bytes
 _new_tuple = tuple.__new__
+_LOW32 = 0xFFFFFFFF
+_LOW64 = (1 << 64) - 1
 
 
 class IndexEntry(NamedTuple):
@@ -49,19 +58,24 @@ class IndexEntry(NamedTuple):
 
 
 class _Leaf:
-    __slots__ = ("key", "segment_id", "offset", "version_lsn")
+    __slots__ = ("key", "packed")  # packed: version_lsn << 64 | offset << 32 | segment_id
 
-    def __init__(self, key: bytes, segment_id: int, offset: int, version_lsn: int):
+    def __init__(self, key: bytes, packed: int):
         self.key = key
-        self.segment_id = segment_id
-        self.offset = offset
-        self.version_lsn = version_lsn
+        self.packed = packed
 
     def entry(self) -> IndexEntry:
         # tuple.__new__ skips the Python-level __new__ of both named tuples,
         # which costs more than the rest of a lookup
+        packed = self.packed
         return _new_tuple(IndexEntry, (
-            self.key, _new_tuple(LogPosition, (self.segment_id, self.offset)), self.version_lsn))
+            self.key, _new_tuple(LogPosition, (packed & _LOW32, packed >> 32 & _LOW32)),
+            packed >> 64))
+
+
+def _pack(position: LogPosition, version_lsn: int) -> int:
+    segment_id, offset = position
+    return version_lsn << 64 | offset << 32 | segment_id
 
 
 # Both inner layouts answer the same calls, so a descent dispatches on the
@@ -224,9 +238,11 @@ class AdaptiveRadixTree:
         """
         if not key:
             raise ValueError("empty key")
+        segment_id, offset = position
+        packed = version_lsn << 64 | offset << 32 | segment_id  # _pack, inlined: replay runs this
         node = self.root
         if node is None:
-            self.root = _Leaf(key, position.segment_id, position.offset, version_lsn)
+            self.root = _Leaf(key, packed)
             self.size = 1
             return None
         parent = None       # inner node that holds `node` under `parent_byte`
@@ -235,9 +251,8 @@ class AdaptiveRadixTree:
         while True:
             if node.__class__ is _Leaf:
                 if node.key == key:
-                    return _update_leaf(node, position, version_lsn)
-                replacement = _split_leaf(
-                    node, _Leaf(key, position.segment_id, position.offset, version_lsn), depth)
+                    return _update_leaf(node, packed)
+                replacement = _split_leaf(node, _Leaf(key, packed), depth)
                 break
             prefix = node.prefix
             if prefix:
@@ -245,22 +260,20 @@ class AdaptiveRadixTree:
                 part = key[depth:end]
                 if part != prefix:
                     replacement = _split_node(
-                        node, _Leaf(key, position.segment_id, position.offset, version_lsn),
-                        depth, _common_prefix_len(part, prefix))
+                        node, _Leaf(key, packed), depth, _common_prefix_len(part, prefix))
                     break
                 depth = end
             if depth == len(key):
                 leaf = node.value_leaf
                 if leaf is not None:
-                    return _update_leaf(leaf, position, version_lsn)
-                node.value_leaf = _Leaf(key, position.segment_id, position.offset, version_lsn)
+                    return _update_leaf(leaf, packed)
+                node.value_leaf = _Leaf(key, packed)
                 self.size += 1
                 return None
             byte = key[depth]
             child = node.find(byte)
             if child is None:
-                replacement = node.set_child(
-                    byte, _Leaf(key, position.segment_id, position.offset, version_lsn))
+                replacement = node.set_child(byte, _Leaf(key, packed))
                 if replacement is node:
                     self.size += 1
                     return None
@@ -277,10 +290,9 @@ class AdaptiveRadixTree:
     def reposition(self, key: bytes, position: LogPosition, version_lsn: int) -> bool:
         """Compaction remap: move an entry iff its version matches exactly."""
         leaf = self._find_leaf(key)
-        if leaf is None or leaf.version_lsn != version_lsn:
+        if leaf is None or leaf.packed >> 64 != version_lsn:
             return False
-        leaf.segment_id = position.segment_id
-        leaf.offset = position.offset
+        leaf.packed = _pack(position, version_lsn)
         return True
 
     def _find_leaf(self, key: bytes) -> _Leaf | None:
@@ -348,8 +360,12 @@ class AdaptiveRadixTree:
         for leaf in self._leaves(None):
             yield leaf.entry()
 
-    def items_from(self, start_key: bytes) -> Iterator[IndexEntry]:
+    def items_from(self, start_key: bytes, end_key: bytes | None = None) -> Iterator[IndexEntry]:
+        """Entries with start_key <= key (< end_key, if given), built one at a
+        time as the walk reaches them."""
         for leaf in self._leaves(start_key):
+            if end_key is not None and leaf.key >= end_key:
+                return
             yield leaf.entry()
 
     def _leaves(self, start: bytes | None) -> Iterator[_Leaf]:
@@ -400,14 +416,7 @@ class AdaptiveRadixTree:
 
     def range(self, start_key: bytes, end_key: bytes, limit: int | None = None) -> list[IndexEntry]:
         """Entries with start_key <= key < end_key in ascending order."""
-        out: list[IndexEntry] = []
-        for leaf in self._leaves(start_key):
-            if leaf.key >= end_key:
-                break
-            out.append(leaf.entry())
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        return list(islice(self.items_from(start_key, end_key), limit))
 
     # -- snapshots ------------------------------------------------------------
 
@@ -428,11 +437,12 @@ class AdaptiveRadixTree:
         pack = _SNAP_ENTRY.pack
         parts: list[bytes] = []
         for leaf in self._leaves(None):
-            key = leaf.key
-            parts.append(pack(len(key), leaf.segment_id, leaf.offset, leaf.version_lsn))
+            key, packed = leaf.key, leaf.packed
+            lsn = packed >> 64
+            parts.append(pack(len(key), packed & _LOW64, 0, lsn))
             parts.append(key)
-            if leaf.version_lsn > last_lsn:
-                last_lsn = leaf.version_lsn
+            if lsn > last_lsn:
+                last_lsn = lsn
             count += 1
             if len(parts) >= 2 * _SNAP_WRITE_CHUNK:
                 chunk = b"".join(parts)
@@ -495,12 +505,10 @@ class AdaptiveRadixTree:
         return self.root.kind
 
 
-def _update_leaf(leaf: _Leaf, position: LogPosition, version_lsn: int) -> IndexEntry:
+def _update_leaf(leaf: _Leaf, packed: int) -> IndexEntry:
     old = leaf.entry()
-    if version_lsn > leaf.version_lsn:
-        leaf.segment_id = position.segment_id
-        leaf.offset = position.offset
-        leaf.version_lsn = version_lsn
+    if packed >> 64 > leaf.packed >> 64:
+        leaf.packed = packed
     return old
 
 
@@ -567,13 +575,14 @@ def _bulk_build(data: bytes, offset: int, end: int) -> tuple[object, int]:
     prev = b""
     count = 0
     while offset < end:
-        key_len, seg, rec_off, lsn = unpack(data, offset)
+        key_len, position, offset_high, lsn = unpack(data, offset)
         offset += entry_size
         key = data[offset:offset + key_len]
         offset += key_len
-        if key <= prev:
-            raise SnapshotCorruptError(f"snapshot key {count} not above the previous key")
-        leaf = _Leaf(key, seg, rec_off, lsn)
+        if key <= prev or offset_high:
+            raise SnapshotCorruptError(f"snapshot entry {count}: key not above the previous "
+                                       "one, or offset beyond 4 GiB")
+        leaf = _Leaf(key, lsn << 64 | position)
         count += 1
         if prev_leaf is not None:
             # _common_prefix_len(prev, key), inlined: this runs once per entry

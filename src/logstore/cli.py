@@ -34,35 +34,54 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _number(text: str, what: str) -> int:
+    """`text` as an int >= 0; LogStoreError (an `error:` line) otherwise."""
+    if not (text.isascii() and text.isdigit()):
+        raise LogStoreError(f"{what} must be a whole number, not {text!r}")
+    return int(text)
+
+
 def _cmd_cli(args) -> int:
-    host, _, port = args.addr.rpartition(":")
-    with Client(host or "127.0.0.1", int(port)) as client:
-        cmd, rest = args.command[0], args.command[1:]
-        if cmd == "put" and len(rest) == 2:
-            lsn = client.put(rest[0].encode(), rest[1].encode())
-            print(f"OK lsn={lsn}")
-        elif cmd == "get" and len(rest) == 1:
-            value = client.get(rest[0].encode(), view_lsn=args.view_lsn)
-            print(value.decode(errors="replace") if value is not None else "(nil)")
-        elif cmd == "del" and len(rest) == 1:
-            print("OK" if client.delete(rest[0].encode()) else "(not found)")
-        elif cmd == "range" and len(rest) in (2, 3):
-            limit = int(rest[2]) if len(rest) == 3 else 0
-            for key, value in client.range(rest[0].encode(), rest[1].encode(), limit):
-                print(f"{key.decode(errors='replace')}\t"
-                      f"{value.decode(errors='replace')}")
-        elif cmd == "batchget" and rest:
-            for key, value in zip(rest, client.batch_get([k.encode() for k in rest])):
-                print(f"{key}\t"
-                      f"{value.decode(errors='replace') if value is not None else '(nil)'}")
-        elif cmd == "stats" and not rest:
-            print(client.stats())
-        elif cmd == "promote" and len(rest) == 1:
-            lsn = client.promote(int(rest[0]))
-            print(f"promoted; flushed={lsn}")
-        else:
-            print(f"bad command: {' '.join(args.command)}", file=sys.stderr)
-            return 2
+    host, _, port_text = args.addr.rpartition(":")
+    port = _number(port_text, "the --addr port")
+    if not 0 < port <= 0xFFFF:
+        raise LogStoreError(f"the --addr port {port} is out of range")
+    try:
+        with Client(host or "127.0.0.1", port) as client:
+            return _run_command(client, args)
+    except OSError as exc:  # refused, reset or timed out
+        raise LogStoreError(f"{args.addr}: {exc.strerror or exc}") from None
+
+
+def _run_command(client: Client, args) -> int:
+    cmd, rest = args.command[0], args.command[1:]
+    if cmd == "put" and len(rest) == 2:
+        lsn = client.put(rest[0].encode(), rest[1].encode())
+        print(f"OK lsn={lsn}")
+    elif cmd == "get" and len(rest) == 1:
+        value = client.get(rest[0].encode(), view_lsn=args.view_lsn)
+        print(value.decode(errors="replace") if value is not None else "(nil)")
+    elif cmd == "del" and len(rest) == 1:
+        print("OK" if client.delete(rest[0].encode()) else "(not found)")
+    elif cmd == "range" and len(rest) in (2, 3):
+        limit = _number(rest[2], "the range limit") if len(rest) == 3 else 0
+        for key, value in client.range(rest[0].encode(), rest[1].encode(), limit,
+                                       view_lsn=args.view_lsn):
+            print(f"{key.decode(errors='replace')}\t"
+                  f"{value.decode(errors='replace')}")
+    elif cmd == "batchget" and rest:
+        values = client.batch_get([k.encode() for k in rest], view_lsn=args.view_lsn)
+        for key, value in zip(rest, values):
+            print(f"{key}\t"
+                  f"{value.decode(errors='replace') if value is not None else '(nil)'}")
+    elif cmd == "stats" and not rest:
+        print(client.stats())
+    elif cmd == "promote" and len(rest) == 1:
+        lsn = client.promote(_number(rest[0], "the partition"))
+        print(f"promoted; flushed={lsn}")
+    else:
+        print(f"bad command: {' '.join(args.command)}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -58,18 +58,20 @@ class Client:
         return flag
 
     def get(self, key: bytes, view_lsn: int | None = None) -> bytes | None:
-        if view_lsn is None:
-            view_lsn = self.last_write_lsn
-        _, payload = self._call(wire.encode_get(key, view_lsn))
+        _, payload = self._call(wire.encode_get(key, self._view(view_lsn)))
         return wire.decode_value(payload)
 
-    def range(self, start: bytes, end: bytes, limit: int = 0) -> list[tuple[bytes, bytes]]:
-        _, payload = self._call(wire.encode_range(start, end, limit))
+    def range(self, start: bytes, end: bytes, limit: int = 0,
+              view_lsn: int | None = None) -> list[tuple[bytes, bytes]]:
+        _, payload = self._call(wire.encode_range(start, end, limit, self._view(view_lsn)))
         return wire.decode_range_result(payload)
 
-    def batch_get(self, keys: list[bytes]) -> list[bytes | None]:
-        _, payload = self._call(wire.encode_batch_get(keys))
+    def batch_get(self, keys: list[bytes], view_lsn: int | None = None) -> list[bytes | None]:
+        _, payload = self._call(wire.encode_batch_get(keys, self._view(view_lsn)))
         return [value for _, value in wire.decode_batch_result(payload)]
+
+    def _view(self, view_lsn: int | None) -> int:
+        return self.last_write_lsn if view_lsn is None else view_lsn
 
     def stats(self) -> str:
         _, payload = self._call(wire.encode_stats())

@@ -14,7 +14,7 @@ import gc
 import heapq
 import os
 import zlib
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 from . import wal
@@ -329,11 +329,10 @@ class Store:
         return self.partition_for(key).get(key)
 
     def range(self, start: bytes, end: bytes, limit: int | None = None) -> list[tuple[bytes, bytes]]:
-        """Merge the partitions' index entries first and cut them to `limit`,
-        so only the entries returned have their values read."""
-        runs = [[(entry, p) for entry in p.index.range(start, end, limit)]
-                for p in self.partitions]
-        merged = heapq.merge(*runs, key=lambda run_item: run_item[0].key)
+        """Merge lazy walks of the partitions' indexes and cut them to `limit`,
+        so only the entries returned are built and have their values read."""
+        walks = [zip(p.index.items_from(start, end), repeat(p)) for p in self.partitions]
+        merged = heapq.merge(*walks, key=lambda walk_item: walk_item[0].key)
         return [(entry.key, p.value_of(entry)) for entry, p in islice(merged, limit)]
 
     def batch_get(self, keys: list[bytes]) -> list[tuple[bytes, bytes | None]]:

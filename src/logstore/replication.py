@@ -410,17 +410,29 @@ class ReplicationCore:
             replica.last_sent_commit[peer] = 0
             self.ship(pid)
 
-    def read(self, pid: int, key: bytes, view_lsn: int) -> Any:
-        """Gated read: the value, or GATE_BLOCK / GATE_REJECT in its place.
+    def gate(self, pids: Iterable[int], view_lsn: int) -> str:
+        """Admission of a read over the partitions `pids` at `view_lsn`:
+        GATE_REJECT if one of them rejects it, else GATE_BLOCK if one must
+        wait, else GATE_SERVE.  A leader's partition, or a read without a
+        view LSN, serves at once."""
+        action = GATE_SERVE
+        if view_lsn:
+            for pid in pids:
+                replica = self.replicas[pid]
+                if replica.role != ROLE_LEADER:
+                    step = replica.read_gate(view_lsn)
+                    if step == GATE_REJECT:
+                        return step
+                    if step == GATE_BLOCK:
+                        action = step
+        return action
 
-        A leader, or a read without a view LSN, is served at once.
-        """
-        replica = self.replicas[pid]
-        if view_lsn and replica.role != ROLE_LEADER:
-            action = replica.read_gate(view_lsn)
-            if action != GATE_SERVE:
-                return action
-        return replica.partition.get(key)
+    def read(self, pid: int, key: bytes, view_lsn: int) -> Any:
+        """Gated read: the value, or GATE_BLOCK / GATE_REJECT in its place."""
+        action = self.gate((pid,), view_lsn)
+        if action != GATE_SERVE:
+            return action
+        return self.replicas[pid].partition.get(key)
 
     def take_over(self, pid: int, peer_flushed: dict[int, int]) -> None:
         """Promote this node's replica of `pid` to leader and ship."""

@@ -87,8 +87,8 @@ class ServerNode:
             send=self._send, deliver=self._deliver,
         )
         self.replicas = self.core.replicas
-        # parked gated reads per partition: (conn, slot, key, view_lsn, deadline)
-        self.blocked_reads: dict[int, list[tuple]] = {pid: [] for pid in self.replicas}
+        # parked gated reads: (conn, slot, partitions, view_lsn, serve, args, deadline)
+        self.blocked_reads: list[tuple] = []
         self.links: dict[int, _Conn | None] = dict.fromkeys(config.peers)
         self._dirty: set[int] = set()   # partitions with writes dispatched this turn
         self._syncing: set[int] = set()     # partitions with a sync on the flusher
@@ -305,6 +305,17 @@ class ServerNode:
             conn.out += slots.popleft()[0]
         self._outq[conn] = None
 
+    def _reply_into(self, conn: _Conn, slot: list, append, items: list) -> None:
+        """Reply with the frame `append` encodes from `items`: straight into the
+        output when `slot` heads the reply order, else into its own buffer."""
+        if conn.slots[0] is slot:
+            append(conn.out, items)
+            self._reply(conn, b"", slot)
+        else:
+            frame = bytearray()
+            append(frame, items)
+            self._reply(conn, frame, slot)
+
     def _flush_out(self) -> None:
         outq, self._outq = self._outq, {}
         if self.links:
@@ -390,7 +401,8 @@ class ServerNode:
         if msg_type == wire.MSG_APPEND_ENTRIES:
             msg = wire.AppendEntries.decode(payload)
             ack = self.core.append(msg)
-            self._drain_blocked_reads(msg.partition)
+            if self.blocked_reads:
+                self._drain_blocked_reads()
             return ack or b""  # a commit-only frame is not answered
         if msg_type in (wire.MSG_PUT, wire.MSG_DELETE):
             if msg_type == wire.MSG_PUT:
@@ -408,16 +420,17 @@ class ServerNode:
         if msg_type == wire.MSG_GET:
             key, view_lsn = wire.decode_get(payload)
             pid = route(key, self.config.partitions)
-            if not self._answer_read(conn, slot, pid, key, view_lsn):
-                deadline = time.monotonic() + READ_GATE_TIMEOUT
-                self.blocked_reads[pid].append((conn, slot, key, view_lsn, deadline))
-                self._at(deadline, partial(self._drain_blocked_reads, pid))
+            self._read_at_view(conn, slot, (pid,), view_lsn, self._get, pid, key)
             return None
         if msg_type == wire.MSG_RANGE:
-            start, end, limit = wire.decode_range(payload)
-            return wire.encode_range_result(self.store.range(start, end, limit or None))
+            self._read_at_view(conn, slot, self.replicas, wire.read_view(payload),
+                               self._range, *wire.decode_range(payload))
+            return None
         if msg_type == wire.MSG_BATCH_GET:
-            return wire.encode_batch_result(self.store.batch_get(wire.decode_batch_get(payload)))
+            keys = wire.decode_batch_get(payload)
+            pids = {route(key, self.config.partitions) for key in keys}
+            self._read_at_view(conn, slot, pids, wire.read_view(payload), self._batch_get, keys)
+            return None
         if msg_type == wire.MSG_STATS:
             return wire.encode_stats_result(self._stats_text())
         if msg_type == wire.MSG_PROMOTE:
@@ -435,30 +448,50 @@ class ServerNode:
         conn, slot = reply.token
         self._reply(conn, wire.encode_ok(lsn=reply.lsn, flag=bool(reply.result)), slot)
 
-    def _answer_read(self, conn: _Conn, slot: list, pid: int, key: bytes, view_lsn: int) -> bool:
+    def _get(self, conn: _Conn, slot: list, pid: int, key: bytes) -> None:
+        self._reply(conn, wire.encode_value(self.replicas[pid].partition.get(key)), slot)
+
+    def _range(self, conn: _Conn, slot: list, start: bytes, end: bytes, limit: int) -> None:
+        self._reply_into(conn, slot, wire.append_range_result,
+                         self.store.range(start, end, limit or None))
+
+    def _batch_get(self, conn: _Conn, slot: list, keys: list[bytes]) -> None:
+        self._reply_into(conn, slot, wire.append_batch_result, self.store.batch_get(keys))
+
+    def _read_at_view(self, conn: _Conn, slot: list, pids, view_lsn: int, serve, *args) -> None:
+        """`serve(conn, slot, *args)` once every partition of `pids` admits
+        `view_lsn`: at once, or parked until then."""
+        if not self._answer_read(conn, slot, pids, view_lsn, serve, args):
+            deadline = time.monotonic() + READ_GATE_TIMEOUT
+            self.blocked_reads.append((conn, slot, pids, view_lsn, serve, args, deadline))
+            self._at(deadline, self._drain_blocked_reads)
+
+    def _answer_read(self, conn: _Conn, slot: list, pids, view_lsn: int, serve, args) -> bool:
         """Serve or reject a gated read; False when it must wait."""
-        value = self.core.read(pid, key, view_lsn)
-        if value is GATE_BLOCK:
+        action = self.core.gate(pids, view_lsn)
+        if action == GATE_BLOCK:
             return False
-        if value is GATE_REJECT:
+        if action == GATE_REJECT:
             self._reply(conn, wire.encode_err(wire.ERR_REJECTED, "view lsn beyond log"), slot)
-        else:
-            self._reply(conn, wire.encode_value(value), slot)
+            return True
+        try:
+            serve(conn, slot, *args)
+        except LogStoreError as exc:  # a parked read fails alone, not the frame that freed it
+            self._reply(conn, wire.encode_err(wire.ERR_INTERNAL, str(exc)), slot)
         return True
 
-    def _drain_blocked_reads(self, pid: int) -> None:
+    def _drain_blocked_reads(self) -> None:
         now = time.monotonic()
         still_blocked = []
-        for read in self.blocked_reads[pid]:
-            conn, slot, key, view_lsn, deadline = read
-            if self._answer_read(conn, slot, pid, key, view_lsn):
+        for read in self.blocked_reads:
+            if self._answer_read(*read[:6]):
                 continue
-            if now >= deadline:
-                self._reply(conn, wire.encode_err(wire.ERR_TIMEOUT, "read gate timeout; retry"),
-                            slot)
+            if now >= read[6]:
+                self._reply(read[0], wire.encode_err(wire.ERR_TIMEOUT, "read gate timeout; retry"),
+                            read[1])
             else:
                 still_blocked.append(read)
-        self.blocked_reads[pid] = still_blocked
+        self.blocked_reads = still_blocked
 
     def _probe_peer_flushed(self, pid: int) -> dict[int, int]:
         """Best-effort STATS probe of each peer; unreachable peers are skipped.

@@ -39,6 +39,9 @@ STATE_SEALED_UNSORTED = "sealed_unsorted"
 STATE_SORTED = "sorted"
 
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
+# every record starts below this offset in its segment: the index keeps an
+# offset in 32 bits (Kafka caps its segments at 2 GiB for the same reason)
+MAX_SEGMENT_BYTES = 1 << 32
 
 
 class LogPosition(NamedTuple):
@@ -135,6 +138,8 @@ class SegmentStore:
         flush_policy: str = "group",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ):
+        if not 0 < segment_bytes <= MAX_SEGMENT_BYTES:
+            raise ValueError(f"segment_bytes must be in (0, {MAX_SEGMENT_BYTES}]")
         self.directory = Path(directory)
         self.partition_id = partition_id
         self.counters = counters if counters is not None else Counters()
@@ -388,27 +393,32 @@ class SegmentStore:
             with open(self.segment_path(sid), "rb") as f:
                 f.seek(base)
                 buf = f.read()
-            offset = 0
+            offset = count = max_lsn = 0
             is_last = idx == len(ids) - 1
-            meta = self.segments[sid]
-            while offset < len(buf):
-                try:
-                    record, consumed = decode_record(buf, offset)
-                except CorruptRecordError:
-                    if is_last and _frame_reaches_eof(buf, offset):
-                        report.torn = True
-                        report.torn_segment = sid
-                        report.torn_offset = base + offset
-                        return report
-                    raise
-                handler(record, LogPosition(sid, base + offset))
-                report.records_read += 1
-                self.counters.records_replayed += 1
-                report.last_valid_lsn = max(report.last_valid_lsn, record.lsn)
+            try:
+                while offset < len(buf):
+                    try:
+                        record, consumed = decode_record(buf, offset)
+                    except CorruptRecordError:
+                        if is_last and _frame_reaches_eof(buf, offset):
+                            report.torn = True
+                            report.torn_segment = sid
+                            report.torn_offset = base + offset
+                            return report
+                        raise
+                    handler(record, _new_tuple(LogPosition, (sid, base + offset)))
+                    count += 1
+                    if record.lsn > max_lsn:
+                        max_lsn = record.lsn
+                    offset += consumed
+            finally:  # the segment's totals, also when it ends torn or corrupt
+                report.records_read += count
+                self.counters.records_replayed += count
+                report.last_valid_lsn = max(report.last_valid_lsn, max_lsn)
+                meta = self.segments[sid]
                 if meta.state == STATE_ACTIVE:
                     # re-establish in-memory stats the manifest cannot carry
-                    meta.max_lsn = max(meta.max_lsn, record.lsn)
-                offset += consumed
+                    meta.max_lsn = max(meta.max_lsn, max_lsn)
         return report
 
     def truncate_torn_tail(self, report: TailReport) -> None:
@@ -453,6 +463,8 @@ class SegmentStore:
                 if cur is None or record.lsn > cur.lsn:
                     best[record.key] = record
         live = [r for _, r in sorted(best.items()) if r.kind == KIND_PUT]
+        if sum(record_size(r.key, r.value) for r in live) > MAX_SEGMENT_BYTES:
+            raise PartitionFaultError("compaction output would exceed MAX_SEGMENT_BYTES")
 
         sid = self.next_segment_id
         self.next_segment_id += 1

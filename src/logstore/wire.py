@@ -4,7 +4,10 @@ Frame: [u32 length | u8 msg_type | payload], where length counts the type
 byte plus the payload.  Replication and client traffic share the frame shape
 and are distinguished by type code.  Keys and values travel as u32
 length-prefixed byte strings; AppendEntries batches carry records in the log
-file framing so a follower flushes exactly the bytes it received.
+file framing so a follower flushes exactly the bytes it received.  Every read
+request (GET, RANGE, BATCH_GET) ends in the session's u64 view LSN.  The
+RANGE and BATCH_GET result encoders append their frame to a caller's
+`bytearray`, so a server writes a large reply once, into its output buffer.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _LEN = struct.Struct("<I")
+_FRAME_HEAD = struct.Struct("<IBI")  # length, type, and a result's entry count
 
 # replication
 MSG_APPEND_ENTRIES = 0x01
@@ -188,9 +192,16 @@ def decode_delete(payload: bytes) -> bytes:
     return key
 
 
-def encode_range(start: bytes, end: bytes, limit: int) -> bytes:
+def read_view(payload: bytes) -> int:
+    """The view LSN that ends every read request (GET, RANGE, BATCH_GET)."""
+    (lsn,) = _U64.unpack_from(payload, len(payload) - 8)
+    return lsn
+
+
+def encode_range(start: bytes, end: bytes, limit: int, read_view_lsn: int = 0) -> bytes:
     return encode_frame(
-        MSG_RANGE, _pack_bytes(start) + _pack_bytes(end) + _U32.pack(limit)
+        MSG_RANGE,
+        _pack_bytes(start) + _pack_bytes(end) + _U32.pack(limit) + _U64.pack(read_view_lsn),
     )
 
 
@@ -201,9 +212,10 @@ def decode_range(payload: bytes) -> tuple[bytes, bytes, int]:
     return start, end, limit
 
 
-def encode_batch_get(keys: list[bytes]) -> bytes:
+def encode_batch_get(keys: list[bytes], read_view_lsn: int = 0) -> bytes:
     parts = [_U32.pack(len(keys))]
     parts.extend(_pack_bytes(k) for k in keys)
+    parts.append(_U64.pack(read_view_lsn))
     return encode_frame(MSG_BATCH_GET, b"".join(parts))
 
 
@@ -265,12 +277,23 @@ def decode_err(payload: bytes) -> tuple[int, str]:
     return payload[0], message.decode()
 
 
-def encode_range_result(pairs: list[tuple[bytes, bytes]]) -> bytes:
-    parts = [_U32.pack(len(pairs))]
+def append_range_result(out: bytearray, pairs: list[tuple[bytes, bytes]]) -> None:
+    """Append a RANGE_RESULT frame to `out` with no intermediate copy."""
+    start = len(out)
+    out += _FRAME_HEAD.pack(0, MSG_RANGE_RESULT, len(pairs))
+    pack = _U32.pack
     for key, value in pairs:
-        parts.append(_pack_bytes(key))
-        parts.append(_pack_bytes(value))
-    return encode_frame(MSG_RANGE_RESULT, b"".join(parts))
+        out += pack(len(key))
+        out += key
+        out += pack(len(value))
+        out += value
+    _LEN.pack_into(out, start, len(out) - start - 4)
+
+
+def encode_range_result(pairs: list[tuple[bytes, bytes]]) -> bytes:
+    out = bytearray()
+    append_range_result(out, pairs)
+    return bytes(out)
 
 
 def decode_range_result(payload: bytes) -> list[tuple[bytes, bytes]]:
@@ -284,16 +307,27 @@ def decode_range_result(payload: bytes) -> list[tuple[bytes, bytes]]:
     return out
 
 
-def encode_batch_result(pairs: list[tuple[bytes, bytes | None]]) -> bytes:
-    parts = [_U32.pack(len(pairs))]
+def append_batch_result(out: bytearray, pairs: list[tuple[bytes, bytes | None]]) -> None:
+    """Append a BATCH_RESULT frame to `out`; a miss is a key and a 0 flag."""
+    start = len(out)
+    out += _FRAME_HEAD.pack(0, MSG_BATCH_RESULT, len(pairs))
+    pack = _U32.pack
     for key, value in pairs:
-        parts.append(_pack_bytes(key))
+        out += pack(len(key))
+        out += key
         if value is None:
-            parts.append(_U8.pack(0))
+            out += b"\0"
         else:
-            parts.append(_U8.pack(1))
-            parts.append(_pack_bytes(value))
-    return encode_frame(MSG_BATCH_RESULT, b"".join(parts))
+            out += b"\1"
+            out += pack(len(value))
+            out += value
+    _LEN.pack_into(out, start, len(out) - start - 4)
+
+
+def encode_batch_result(pairs: list[tuple[bytes, bytes | None]]) -> bytes:
+    out = bytearray()
+    append_batch_result(out, pairs)
+    return bytes(out)
 
 
 def decode_batch_result(payload: bytes) -> list[tuple[bytes, bytes | None]]:

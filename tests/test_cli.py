@@ -1,5 +1,6 @@
 """Command-line surface: serve and client commands end to end."""
 
+import socket
 import threading
 
 import pytest
@@ -49,6 +50,26 @@ class TestClientCommands:
 
     def test_bad_command_exits_nonzero(self, server, capsys):
         assert main(["cli", "--addr", self.addr(server), "put", "only-key"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["range", "a", "z", "ten"], ["range", "a", "z", "-1"], ["promote", "zero"]])
+    def test_non_numeric_argument_exits_1_with_an_error_line(self, server, capsys, command):
+        assert main(["cli", "--addr", self.addr(server), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("addr", ["127.0.0.1:notaport", "127.0.0.1:70000", "127.0.0.1"])
+    def test_bad_addr_port_exits_1_with_an_error_line(self, capsys, addr):
+        assert main(["cli", "--addr", addr, "stats"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_refused_connection_exits_1_with_an_error_line(self, capsys):
+        with socket.socket() as s:  # a port that was just free: nothing listens on it
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        assert main(["cli", "--addr", f"127.0.0.1:{port}", "stats"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "refused" in err.lower()
 
 
 class TestServeCommand:

@@ -2,12 +2,15 @@
 
 import ast
 import random
+import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
 import pytest
 
 import logstore
+from logstore import wire
 from logstore.engine import BATCH_SCAN_FRACTION, Partition, Store, route
 from logstore.workload import chi_square_uniform
 
@@ -137,6 +140,29 @@ class TestReadWritePath:
         got = store.range(b"key000", b"key040", limit=6)
         assert got == [(b"key%03d" % i, b"v%d" % i) for i in range(6)]
         assert store.counters.log_point_reads - before == 5
+        store.close()
+
+    def test_a_4096_entry_range_and_its_encoding_peak_below_twice_the_frame(self, tmp_path):
+        """With the values cached, what the merge and the encoding allocate
+        is the reply frame and the result list: no per-partition entry lists,
+        parts list or joined copy.  Three-plus times the frame without that."""
+        store = Store(tmp_path, partitions=2)
+        for p in store.partitions:
+            for i in range(p.partition_id, 6000, 2):
+                p.apply_put(struct.pack(">Q", i), bytes([i % 251]) * 200)
+        start, end = struct.pack(">Q", 1000), struct.pack(">Q", 6000)
+        store.range(start, end, 4096)  # admits the values to the cache
+        tracemalloc.start()
+        try:
+            pairs = store.range(start, end, 4096)
+            out = bytearray()
+            wire.append_range_result(out, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 4096
+        assert wire.decode_frame(out)[1] == wire.encode_range_result(pairs)[5:]
+        assert peak < 2 * len(out), (peak, len(out))
         store.close()
 
     def test_store_batch_get_preserves_request_order(self, tmp_path):

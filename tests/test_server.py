@@ -15,7 +15,7 @@ import logstore
 from logstore.client import Client, ClientError
 from logstore.config import NodeConfig
 from logstore.engine import route
-from logstore.errors import NotLeaderError
+from logstore.errors import NotLeaderError, ReadRejectedError
 from logstore.server import FLUSH_THREAD, LOOP_THREAD, ServerNode
 from logstore.wal import KIND_PUT, LogRecord
 from logstore import wire
@@ -245,6 +245,40 @@ class TestSingleNode:
         assert [wire.decode_value(p) for (t, p) in replies if t == wire.MSG_VALUE] == [
             v for t, v in expected if t == wire.MSG_VALUE]
 
+    def test_range_and_batch_get_behind_an_unanswered_put_keep_request_order(
+            self, single, monkeypatch):
+        node, c = single
+        c.put(b"a", b"1")
+
+        def list_encoder(pairs):
+            raise AssertionError("result frames are appended in place")
+
+        monkeypatch.setattr(wire, "encode_range_result", list_encoder)
+        monkeypatch.setattr(wire, "encode_batch_result", list_encoder)
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):  # the PUT stays unanswered while the reads are served
+            time.sleep(0.2)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        frames = [wire.encode_put(b"b", b"2"), wire.encode_range(b"a", b"z", 0),
+                  wire.encode_batch_get([b"b", b"x"]), wire.encode_range(b"b", b"z", 1)]
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+            s.sendall(b"".join(frames))
+            replies = [wire.read_frame(s) for _ in frames]
+            assert [t for t, _ in replies] == [wire.MSG_OK, wire.MSG_RANGE_RESULT,
+                                               wire.MSG_BATCH_RESULT, wire.MSG_RANGE_RESULT]
+            # each read sees the PUT before it, though its ack came later
+            assert wire.decode_range_result(replies[1][1]) == [(b"a", b"1"), (b"b", b"2")]
+            assert wire.decode_batch_result(replies[2][1]) == [(b"b", b"2"), (b"x", None)]
+            assert wire.decode_range_result(replies[3][1]) == [(b"b", b"2")]
+            # with nothing unanswered ahead of it, a RANGE goes straight out
+            s.sendall(wire.encode_range(b"a", b"b", 0))
+            msg_type, payload = wire.read_frame(s)
+            assert (msg_type, wire.decode_range_result(payload)) == (
+                wire.MSG_RANGE_RESULT, [(b"a", b"1")])
+
     def test_frame_split_across_two_sends_is_answered_once(self, single):
         node, c = single
         c.put(b"split", b"value")
@@ -428,6 +462,87 @@ class TestCluster:
             node.stop()
 
 
+class TestFollowerScanReadView:
+    """A follower's RANGE and BATCH_GET wait for, or reject, the session's view
+    LSN in every partition they touch, as a GET does in its one partition."""
+
+    @pytest.fixture
+    def follower(self, tmp_path):
+        peers = {0: f"127.0.0.1:{free_port()}"}  # a leader that is never there
+        cfg = NodeConfig(node_id=1, listen="127.0.0.1:0", peers=peers, partitions=2,
+                         data_dir=str(tmp_path / "n1"), leader_node=0)
+        node = ServerNode(cfg)
+        node.start()
+        keys = {}  # one key per partition
+        i = 0
+        while len(keys) < 2:
+            keys.setdefault(route(b"k%d" % i, 2), b"k%d" % i)
+            i += 1
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as leader:
+            for pid in (0, 1):  # LSN 1 in each partition, not yet committed
+                leader.sendall(self.append(pid, 0, LogRecord(1, KIND_PUT, keys[pid], b"v")))
+                wire.read_frame(leader)  # its ack
+            yield node, leader, keys
+        node.stop()
+
+    @staticmethod
+    def append(pid, commit, *records):
+        return wire.AppendEntries(pid, 1, commit, list(records)).encode()
+
+    @staticmethod
+    def no_reply(s):
+        s.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            s.recv(1)
+        s.settimeout(5.0)
+
+    def test_range_above_the_commit_point_blocks_until_every_partition_commits(
+            self, follower):
+        node, leader, keys = follower
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+            s.sendall(wire.encode_range(b"k", b"l", 0, 1))
+            self.no_reply(s)
+            leader.sendall(self.append(0, 1))
+            self.no_reply(s)  # partition 1 is still above its commit point
+            leader.sendall(self.append(1, 1))
+            msg_type, payload = wire.read_frame(s)
+        assert (msg_type, wire.decode_range_result(payload)) == (
+            wire.MSG_RANGE_RESULT, sorted((k, b"v") for k in keys.values()))
+
+    def test_batch_get_waits_only_for_the_partitions_of_its_keys(self, follower):
+        node, leader, keys = follower
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+            s.sendall(wire.encode_batch_get([keys[0]], 1))
+            self.no_reply(s)
+            leader.sendall(self.append(0, 1))
+            msg_type, payload = wire.read_frame(s)
+        assert (msg_type, wire.decode_batch_result(payload)) == (
+            wire.MSG_BATCH_RESULT, [(keys[0], b"v")])
+
+    @pytest.mark.parametrize("scan", ["range", "batch_get"])
+    def test_read_beyond_the_flushed_log_is_rejected(self, follower, scan):
+        node, leader, keys = follower
+        leader.sendall(self.append(0, 1, LogRecord(2, KIND_PUT, keys[0], b"w")))
+        wire.read_frame(leader)  # partition 0 holds LSN 2 now; partition 1 does not
+        with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
+            # partition 0 would block the read at LSN 2, partition 1 rejects it
+            s.sendall(wire.encode_range(b"k", b"l", 0, 2) if scan == "range"
+                      else wire.encode_batch_get([keys[0], keys[1]], 2))
+            msg_type, payload = wire.read_frame(s)
+        assert (msg_type, wire.decode_err(payload)[0]) == (wire.MSG_ERR, wire.ERR_REJECTED)
+
+    def test_client_sends_its_last_write_lsn_with_scans(self, follower):
+        node, leader, keys = follower
+        leader.sendall(self.append(0, 1) + self.append(1, 1))
+        with Client("127.0.0.1", node.port) as c:
+            assert c.range(b"k", b"l") == sorted((k, b"v") for k in keys.values())
+            c.last_write_lsn = 5  # as if it had written LSN 5 through the leader
+            with pytest.raises(ReadRejectedError):
+                c.range(b"k", b"l")
+            with pytest.raises(ReadRejectedError):
+                c.batch_get([keys[0]])
+
+
 class TestOneEventLoop:
     """server.py hands no work between threads: nothing to queue on or wait for."""
 
@@ -457,3 +572,29 @@ class TestOneEventLoop:
     ])
     def test_guard_fails_on_a_copy_with_one_added(self, added):
         assert self.handoffs(self.SERVER.read_text() + "\n" + added + "\n")
+
+
+class TestScanRepliesInPlace:
+    """server.py appends RANGE and BATCH_GET results into its output buffers:
+    it never builds a reply with the list-encoding wrappers."""
+
+    SERVER = Path(logstore.__file__).parent / "server.py"
+    LIST_ENCODERS = {"encode_range_result", "encode_batch_result"}
+
+    @classmethod
+    def list_encoder_calls(cls, source: str) -> list[str]:
+        names = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names.append(func.attr if isinstance(func, ast.Attribute)
+                             else getattr(func, "id", ""))
+        return sorted(cls.LIST_ENCODERS.intersection(names))
+
+    def test_server_calls_no_list_building_encoder(self):
+        assert self.list_encoder_calls(self.SERVER.read_text()) == []
+
+    @pytest.mark.parametrize("added", [
+        "frame = wire.encode_range_result(pairs)", "frame = encode_batch_result(pairs)"])
+    def test_guard_fails_on_a_copy_with_one_call_added(self, added):
+        assert self.list_encoder_calls(self.SERVER.read_text() + "\n" + added + "\n")

@@ -7,7 +7,8 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logstore.errors import CorruptRecordError, LsnGapError
+from logstore import wal
+from logstore.errors import CorruptRecordError, LsnGapError, PartitionFaultError
 from logstore.metrics import Counters
 from logstore.wal import (
     HEADER_LEN,
@@ -146,6 +147,12 @@ class TestSegments:
         assert store.segment_path(1).exists()
         store.close()
 
+    def test_segments_beyond_32_bit_offsets_are_refused(self, tmp_path):
+        # the index packs an offset into 32 bits
+        with pytest.raises(ValueError):
+            make_store(tmp_path, segment_bytes=wal.MAX_SEGMENT_BYTES + 1)
+        make_store(tmp_path, segment_bytes=wal.MAX_SEGMENT_BYTES).close()
+
     def test_rotate_empty_active_is_noop(self, tmp_path):
         store = make_store(tmp_path)
         meta = store.seal_and_rotate()
@@ -219,6 +226,19 @@ class TestCompaction:
                 live.pop(record.key, None)
         return live
 
+    def test_merge_beyond_max_segment_bytes_fails_and_keeps_its_inputs(
+            self, tmp_path, monkeypatch):
+        store = make_store(tmp_path)
+        self.fill(store)
+        sealed = store.seal_and_rotate().segment_id
+        live = self.oracle(store)
+        monkeypatch.setattr(wal, "MAX_SEGMENT_BYTES", 64)
+        with pytest.raises(PartitionFaultError):
+            store.compact_merge([], [sealed])
+        assert sorted(store.segments) == [sealed, sealed + 1]
+        assert self.oracle(store) == live
+        store.close()
+
     def test_merge_matches_last_writer_wins_oracle(self, tmp_path):
         store = make_store(tmp_path, segment_bytes=512)
         self.fill(store)
@@ -289,6 +309,7 @@ class TestTailReplay:
         report = reopened.replay_tail(lambda r, p: None)
         assert report.torn
         assert report.last_valid_lsn == 9
+        assert report.records_read == reopened.counters.records_replayed == 9
         reopened.truncate_torn_tail(report)
         # appends continue after the torn suffix was dropped
         reopened.set_last_lsn(9)

@@ -100,6 +100,14 @@ class TestClientMessages:
         payload = self.roundtrip(wire.encode_batch_result(pairs))
         assert wire.decode_batch_result(payload) == pairs
 
+    def test_reads_end_with_their_view_lsn(self):
+        assert wire.read_view(self.roundtrip(wire.encode_get(b"k", 12))) == 12
+        payload = self.roundtrip(wire.encode_range(b"a", b"z", 10, 34))
+        assert (wire.decode_range(payload), wire.read_view(payload)) == ((b"a", b"z", 10), 34)
+        payload = self.roundtrip(wire.encode_batch_get([b"a", b"bb"], 56))
+        assert (wire.decode_batch_get(payload), wire.read_view(payload)) == ([b"a", b"bb"], 56)
+        assert wire.read_view(self.roundtrip(wire.encode_range(b"a", b"z", 10))) == 0
+
     def test_stats_result(self):
         text = "partition=0 flushed=10\npartition=1 flushed=3"
         payload = self.roundtrip(wire.encode_stats_result(text))
@@ -113,3 +121,49 @@ class TestClientMessages:
         assert wire.decode_put(p1) == (key, value)
         _, p2, _ = wire.decode_frame(wire.encode_get(key, lsn))
         assert wire.decode_get(p2) == (key, lsn)
+
+
+def _list_encoded(msg_type, pairs):
+    """A result frame built the way a parts list and a join build it."""
+    parts = [len(pairs).to_bytes(4, "little")]
+    for key, value in pairs:
+        parts.append(len(key).to_bytes(4, "little") + key)
+        if msg_type == wire.MSG_BATCH_RESULT:
+            parts.append(b"\0" if value is None else b"\1")
+        if value is not None:
+            parts.append(len(value).to_bytes(4, "little") + value)
+    return wire.encode_frame(msg_type, b"".join(parts))
+
+
+class TestAppendingEncoders:
+    pairs = st.lists(st.tuples(st.binary(min_size=1, max_size=16), st.binary(max_size=300)),
+                     max_size=20)
+
+    @given(pairs, st.binary(max_size=8))
+    @settings(max_examples=100)
+    def test_range_result_bytes_equal_the_list_encoding(self, pairs, before):
+        out = bytearray(before)
+        wire.append_range_result(out, pairs)
+        assert bytes(out) == before + _list_encoded(wire.MSG_RANGE_RESULT, pairs)
+        assert wire.encode_range_result(pairs) == _list_encoded(wire.MSG_RANGE_RESULT, pairs)
+
+    @given(st.lists(st.tuples(st.binary(min_size=1, max_size=16),
+                              st.none() | st.binary(max_size=300)), max_size=20),
+           st.binary(max_size=8))
+    @settings(max_examples=100)
+    def test_batch_result_bytes_equal_the_list_encoding_misses_included(self, pairs, before):
+        out = bytearray(before)
+        wire.append_batch_result(out, pairs)
+        assert bytes(out) == before + _list_encoded(wire.MSG_BATCH_RESULT, pairs)
+        assert wire.encode_batch_result(pairs) == _list_encoded(wire.MSG_BATCH_RESULT, pairs)
+
+    def test_frames_appended_back_to_back_decode_in_order(self):
+        out = bytearray()
+        wire.append_range_result(out, [(b"a", b"1")])
+        wire.append_batch_result(out, [(b"a", b"1"), (b"b", None)])
+        kind, payload, used = wire.decode_frame(out)
+        assert (kind, wire.decode_range_result(payload)) == (
+            wire.MSG_RANGE_RESULT, [(b"a", b"1")])
+        kind, payload, _ = wire.decode_frame(out[used:])
+        assert (kind, wire.decode_batch_result(payload)) == (
+            wire.MSG_BATCH_RESULT, [(b"a", b"1"), (b"b", None)])
