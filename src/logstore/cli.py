@@ -65,13 +65,11 @@ def _run_command(client: Client, args) -> int:
         print("OK" if client.delete(rest[0].encode()) else "(not found)")
     elif cmd == "range" and len(rest) in (2, 3):
         limit = _number(rest[2], "the range limit") if len(rest) == 3 else 0
-        for key, value in client.range(rest[0].encode(), rest[1].encode(), limit,
-                                       view_lsn=args.view_lsn):
+        for key, value in client.range(rest[0].encode(), rest[1].encode(), limit):
             print(f"{key.decode(errors='replace')}\t"
                   f"{value.decode(errors='replace')}")
     elif cmd == "batchget" and rest:
-        values = client.batch_get([k.encode() for k in rest], view_lsn=args.view_lsn)
-        for key, value in zip(rest, values):
+        for key, value in zip(rest, client.batch_get([k.encode() for k in rest])):
             print(f"{key}\t"
                   f"{value.decode(errors='replace') if value is not None else '(nil)'}")
     elif cmd == "stats" and not rest:
@@ -98,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("cli", help="issue a command against a node")
     p.add_argument("--addr", required=True, help="host:port")
     p.add_argument("--view-lsn", type=int, default=None,
-                   help="minimum LSN the read must reflect (follower reads)")
+                   help="minimum LSN a follower get must reflect in its key's partition")
     p.add_argument("command", nargs="+",
                    help="put K V | get K | del K | range LO HI [N] | "
                         "batchget K... | stats | promote P")

@@ -1,8 +1,9 @@
 """Blocking TCP client for a single node.
 
-Tracks the highest LSN returned by its own writes and passes it along with
-reads, so a session always observes its own writes even when pointed at a
-follower.
+Tracks the LSNs its own writes returned and passes them along with reads, so
+a session always observes its own writes even when pointed at a follower.
+LSNs count per partition: a RANGE or BATCH_GET carries the session's last
+write LSN in each partition it wrote to, and a GET the highest of them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class Client:
     def __init__(self, host: str, port: int, timeout: float = 15.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.last_write_lsn = 0
+        self.views: dict[int, int] = {}  # partition -> the LSN of this session's last write
 
     def close(self) -> None:
         self.sock.close()
@@ -48,30 +50,38 @@ class Client:
     def put(self, key: bytes, value: bytes) -> int:
         _, payload = self._call(wire.encode_put(key, value))
         _, lsn = wire.decode_ok(payload)
-        self.last_write_lsn = max(self.last_write_lsn, lsn)
+        self._wrote(payload, lsn)
         return lsn
 
     def delete(self, key: bytes) -> bool:
         _, payload = self._call(wire.encode_delete(key))
         flag, lsn = wire.decode_ok(payload)
-        self.last_write_lsn = max(self.last_write_lsn, lsn)
+        self._wrote(payload, lsn)
         return flag
 
+    def _wrote(self, ok_payload: bytes, lsn: int) -> None:
+        self.last_write_lsn = max(self.last_write_lsn, lsn)
+        pid = wire.ok_partition(ok_payload)
+        self.views[pid] = max(self.views.get(pid, 0), lsn)
+
     def get(self, key: bytes, view_lsn: int | None = None) -> bytes | None:
-        _, payload = self._call(wire.encode_get(key, self._view(view_lsn)))
+        if view_lsn is None:
+            view_lsn = self.last_write_lsn
+        _, payload = self._call(wire.encode_get(key, view_lsn))
         return wire.decode_value(payload)
 
     def range(self, start: bytes, end: bytes, limit: int = 0,
-              view_lsn: int | None = None) -> list[tuple[bytes, bytes]]:
-        _, payload = self._call(wire.encode_range(start, end, limit, self._view(view_lsn)))
+              views: dict[int, int] | None = None) -> list[tuple[bytes, bytes]]:
+        _, payload = self._call(wire.encode_range(start, end, limit, self._views(views)))
         return wire.decode_range_result(payload)
 
-    def batch_get(self, keys: list[bytes], view_lsn: int | None = None) -> list[bytes | None]:
-        _, payload = self._call(wire.encode_batch_get(keys, self._view(view_lsn)))
+    def batch_get(self, keys: list[bytes],
+                  views: dict[int, int] | None = None) -> list[bytes | None]:
+        _, payload = self._call(wire.encode_batch_get(keys, self._views(views)))
         return [value for _, value in wire.decode_batch_result(payload)]
 
-    def _view(self, view_lsn: int | None) -> int:
-        return self.last_write_lsn if view_lsn is None else view_lsn
+    def _views(self, views: dict[int, int] | None) -> dict[int, int]:
+        return self.views if views is None else views
 
     def stats(self) -> str:
         _, payload = self._call(wire.encode_stats())

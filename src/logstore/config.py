@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .wal import MAX_SEGMENT_BYTES
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
@@ -86,6 +87,8 @@ class NodeConfig:
             raise ConfigError(f"unknown flush policy {cfg.flush_policy!r}")
         if not 0.0 < cfg.cooling_fraction < 1.0:
             raise ConfigError("cooling_fraction must be in (0, 1)")
+        if not 0 < cfg.segment_bytes <= MAX_SEGMENT_BYTES:  # the index keeps 32-bit offsets
+            raise ConfigError(f"segment_bytes must be in (0, {MAX_SEGMENT_BYTES}]")
         return cfg
 
     def addr_tuple(self, addr: str | None = None) -> tuple[str, int]:

@@ -410,26 +410,25 @@ class ReplicationCore:
             replica.last_sent_commit[peer] = 0
             self.ship(pid)
 
-    def gate(self, pids: Iterable[int], view_lsn: int) -> str:
-        """Admission of a read over the partitions `pids` at `view_lsn`:
-        GATE_REJECT if one of them rejects it, else GATE_BLOCK if one must
-        wait, else GATE_SERVE.  A leader's partition, or a read without a
-        view LSN, serves at once."""
+    def gate(self, views: dict[int, int]) -> str:
+        """Admission of a read at a view of partition -> LSN: GATE_REJECT if
+        one of its partitions rejects it, else GATE_BLOCK if one must wait,
+        else GATE_SERVE.  A leader's partition, a view LSN of 0, or a
+        partition this node does not hold serves at once."""
         action = GATE_SERVE
-        if view_lsn:
-            for pid in pids:
-                replica = self.replicas[pid]
-                if replica.role != ROLE_LEADER:
-                    step = replica.read_gate(view_lsn)
-                    if step == GATE_REJECT:
-                        return step
-                    if step == GATE_BLOCK:
-                        action = step
+        for pid, view_lsn in views.items():
+            replica = self.replicas.get(pid)
+            if view_lsn and replica is not None and replica.role != ROLE_LEADER:
+                step = replica.read_gate(view_lsn)
+                if step == GATE_REJECT:
+                    return step
+                if step == GATE_BLOCK:
+                    action = step
         return action
 
     def read(self, pid: int, key: bytes, view_lsn: int) -> Any:
         """Gated read: the value, or GATE_BLOCK / GATE_REJECT in its place."""
-        action = self.gate((pid,), view_lsn)
+        action = self.gate({pid: view_lsn})
         if action != GATE_SERVE:
             return action
         return self.replicas[pid].partition.get(key)

@@ -87,7 +87,7 @@ class ServerNode:
             send=self._send, deliver=self._deliver,
         )
         self.replicas = self.core.replicas
-        # parked gated reads: (conn, slot, partitions, view_lsn, serve, args, deadline)
+        # parked gated reads: (conn, slot, views, serve, args, deadline)
         self.blocked_reads: list[tuple] = []
         self.links: dict[int, _Conn | None] = dict.fromkeys(config.peers)
         self._dirty: set[int] = set()   # partitions with writes dispatched this turn
@@ -420,16 +420,17 @@ class ServerNode:
         if msg_type == wire.MSG_GET:
             key, view_lsn = wire.decode_get(payload)
             pid = route(key, self.config.partitions)
-            self._read_at_view(conn, slot, (pid,), view_lsn, self._get, pid, key)
+            self._read_at_view(conn, slot, {pid: view_lsn}, self._get, pid, key)
             return None
-        if msg_type == wire.MSG_RANGE:
-            self._read_at_view(conn, slot, self.replicas, wire.read_view(payload),
+        if msg_type == wire.MSG_RANGE:  # every partition's part is read
+            self._read_at_view(conn, slot, wire.read_views(payload),
                                self._range, *wire.decode_range(payload))
             return None
-        if msg_type == wire.MSG_BATCH_GET:
+        if msg_type == wire.MSG_BATCH_GET:  # only its keys' partitions are read
             keys = wire.decode_batch_get(payload)
             pids = {route(key, self.config.partitions) for key in keys}
-            self._read_at_view(conn, slot, pids, wire.read_view(payload), self._batch_get, keys)
+            views = {pid: lsn for pid, lsn in wire.read_views(payload).items() if pid in pids}
+            self._read_at_view(conn, slot, views, self._batch_get, keys)
             return None
         if msg_type == wire.MSG_STATS:
             return wire.encode_stats_result(self._stats_text())
@@ -440,13 +441,14 @@ class ServerNode:
             self._settle(pid)
             self.core.take_over(pid, self._probe_peer_flushed(pid))
             self.config.leader_node = self.config.node_id
-            return wire.encode_ok(lsn=self.replicas[pid].state.flushed)
+            return wire.encode_ok(lsn=self.replicas[pid].state.flushed, partition=pid)
         return wire.encode_err(wire.ERR_BAD_REQUEST, f"unknown type {msg_type:#x}")
 
     def _deliver(self, pid: int, reply) -> None:
         """The core's deliver hook: a write committed (a PUT's result is its LSN)."""
         conn, slot = reply.token
-        self._reply(conn, wire.encode_ok(lsn=reply.lsn, flag=bool(reply.result)), slot)
+        self._reply(conn, wire.encode_ok(lsn=reply.lsn, flag=bool(reply.result), partition=pid),
+                    slot)
 
     def _get(self, conn: _Conn, slot: list, pid: int, key: bytes) -> None:
         self._reply(conn, wire.encode_value(self.replicas[pid].partition.get(key)), slot)
@@ -458,17 +460,17 @@ class ServerNode:
     def _batch_get(self, conn: _Conn, slot: list, keys: list[bytes]) -> None:
         self._reply_into(conn, slot, wire.append_batch_result, self.store.batch_get(keys))
 
-    def _read_at_view(self, conn: _Conn, slot: list, pids, view_lsn: int, serve, *args) -> None:
-        """`serve(conn, slot, *args)` once every partition of `pids` admits
-        `view_lsn`: at once, or parked until then."""
-        if not self._answer_read(conn, slot, pids, view_lsn, serve, args):
+    def _read_at_view(self, conn: _Conn, slot: list, views: dict[int, int], serve, *args) -> None:
+        """`serve(conn, slot, *args)` once every partition of `views` admits
+        its view LSN: at once, or parked until then."""
+        if not self._answer_read(conn, slot, views, serve, args):
             deadline = time.monotonic() + READ_GATE_TIMEOUT
-            self.blocked_reads.append((conn, slot, pids, view_lsn, serve, args, deadline))
+            self.blocked_reads.append((conn, slot, views, serve, args, deadline))
             self._at(deadline, self._drain_blocked_reads)
 
-    def _answer_read(self, conn: _Conn, slot: list, pids, view_lsn: int, serve, args) -> bool:
+    def _answer_read(self, conn: _Conn, slot: list, views: dict[int, int], serve, args) -> bool:
         """Serve or reject a gated read; False when it must wait."""
-        action = self.core.gate(pids, view_lsn)
+        action = self.core.gate(views)
         if action == GATE_BLOCK:
             return False
         if action == GATE_REJECT:
@@ -484,11 +486,12 @@ class ServerNode:
         now = time.monotonic()
         still_blocked = []
         for read in self.blocked_reads:
-            if self._answer_read(*read[:6]):
+            conn, slot, views, serve, args, deadline = read
+            if self._answer_read(conn, slot, views, serve, args):
                 continue
-            if now >= read[6]:
-                self._reply(read[0], wire.encode_err(wire.ERR_TIMEOUT, "read gate timeout; retry"),
-                            read[1])
+            if now >= deadline:
+                self._reply(conn, wire.encode_err(wire.ERR_TIMEOUT, "read gate timeout; retry"),
+                            slot)
             else:
                 still_blocked.append(read)
         self.blocked_reads = still_blocked

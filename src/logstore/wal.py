@@ -393,32 +393,29 @@ class SegmentStore:
             with open(self.segment_path(sid), "rb") as f:
                 f.seek(base)
                 buf = f.read()
-            offset = count = max_lsn = 0
+            offset = 0
             is_last = idx == len(ids) - 1
-            try:
-                while offset < len(buf):
-                    try:
-                        record, consumed = decode_record(buf, offset)
-                    except CorruptRecordError:
-                        if is_last and _frame_reaches_eof(buf, offset):
-                            report.torn = True
-                            report.torn_segment = sid
-                            report.torn_offset = base + offset
-                            return report
-                        raise
-                    handler(record, _new_tuple(LogPosition, (sid, base + offset)))
-                    count += 1
-                    if record.lsn > max_lsn:
-                        max_lsn = record.lsn
-                    offset += consumed
-            finally:  # the segment's totals, also when it ends torn or corrupt
-                report.records_read += count
-                self.counters.records_replayed += count
-                report.last_valid_lsn = max(report.last_valid_lsn, max_lsn)
-                meta = self.segments[sid]
+            meta = self.segments[sid]
+            while offset < len(buf):
+                try:
+                    record, consumed = decode_record(buf, offset)
+                except CorruptRecordError:
+                    if is_last and _frame_reaches_eof(buf, offset):
+                        report.torn = True
+                        report.torn_segment = sid
+                        report.torn_offset = base + offset
+                        return report
+                    raise
+                # tuple.__new__ skips LogPosition's Python-level __new__,
+                # which costs recovery as much as the packing of the leaf
+                handler(record, _new_tuple(LogPosition, (sid, base + offset)))
+                report.records_read += 1
+                self.counters.records_replayed += 1
+                report.last_valid_lsn = max(report.last_valid_lsn, record.lsn)
                 if meta.state == STATE_ACTIVE:
                     # re-establish in-memory stats the manifest cannot carry
-                    meta.max_lsn = max(meta.max_lsn, max_lsn)
+                    meta.max_lsn = max(meta.max_lsn, record.lsn)
+                offset += consumed
         return report
 
     def truncate_torn_tail(self, report: TailReport) -> None:

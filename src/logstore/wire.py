@@ -4,10 +4,14 @@ Frame: [u32 length | u8 msg_type | payload], where length counts the type
 byte plus the payload.  Replication and client traffic share the frame shape
 and are distinguished by type code.  Keys and values travel as u32
 length-prefixed byte strings; AppendEntries batches carry records in the log
-file framing so a follower flushes exactly the bytes it received.  Every read
-request (GET, RANGE, BATCH_GET) ends in the session's u64 view LSN.  The
-RANGE and BATCH_GET result encoders append their frame to a caller's
-`bytearray`, so a server writes a large reply once, into its output buffer.
+file framing so a follower flushes exactly the bytes it received.
+
+LSNs count per partition, so a session's read view is one LSN per partition
+it wrote to: a write's OK reply names its partition, a GET carries the view
+of its key's partition, and a RANGE or BATCH_GET ends in the whole view,
+(u32 partition, u64 LSN) pairs and then their u32 count.  The RANGE and
+BATCH_GET result encoders append their frame to a caller's `bytearray`, so a
+server writes a large reply once, into its output buffer.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _LEN = struct.Struct("<I")
 _FRAME_HEAD = struct.Struct("<IBI")  # length, type, and a result's entry count
+_VIEW = struct.Struct("<IQ")         # partition, the session's LSN in it
 
 # replication
 MSG_APPEND_ENTRIES = 0x01
@@ -192,16 +197,26 @@ def decode_delete(payload: bytes) -> bytes:
     return key
 
 
-def read_view(payload: bytes) -> int:
-    """The view LSN that ends every read request (GET, RANGE, BATCH_GET)."""
-    (lsn,) = _U64.unpack_from(payload, len(payload) - 8)
-    return lsn
+def _pack_views(views: dict[int, int] | None) -> bytes:
+    views = views or {}
+    return b"".join(_VIEW.pack(pid, lsn) for pid, lsn in views.items()) + _U32.pack(len(views))
 
 
-def encode_range(start: bytes, end: bytes, limit: int, read_view_lsn: int = 0) -> bytes:
+def read_views(payload: bytes) -> dict[int, int]:
+    """The view that ends a RANGE or BATCH_GET request: partition -> LSN."""
+    end = len(payload) - 4
+    (count,) = _U32.unpack_from(payload, end)
+    start = end - count * _VIEW.size
+    if start < 0:
+        raise CorruptRecordError("read view longer than its request")
+    return dict(_VIEW.iter_unpack(payload[start:end]))
+
+
+def encode_range(start: bytes, end: bytes, limit: int,
+                 views: dict[int, int] | None = None) -> bytes:
     return encode_frame(
         MSG_RANGE,
-        _pack_bytes(start) + _pack_bytes(end) + _U32.pack(limit) + _U64.pack(read_view_lsn),
+        _pack_bytes(start) + _pack_bytes(end) + _U32.pack(limit) + _pack_views(views),
     )
 
 
@@ -212,10 +227,10 @@ def decode_range(payload: bytes) -> tuple[bytes, bytes, int]:
     return start, end, limit
 
 
-def encode_batch_get(keys: list[bytes], read_view_lsn: int = 0) -> bytes:
+def encode_batch_get(keys: list[bytes], views: dict[int, int] | None = None) -> bytes:
     parts = [_U32.pack(len(keys))]
     parts.extend(_pack_bytes(k) for k in keys)
-    parts.append(_U64.pack(read_view_lsn))
+    parts.append(_pack_views(views))
     return encode_frame(MSG_BATCH_GET, b"".join(parts))
 
 
@@ -259,13 +274,20 @@ def decode_value(payload: bytes) -> bytes | None:
     return value
 
 
-def encode_ok(lsn: int = 0, flag: bool = True) -> bytes:
-    return encode_frame(MSG_OK, _U8.pack(1 if flag else 0) + _U64.pack(lsn))
+def encode_ok(lsn: int = 0, flag: bool = True, partition: int = 0) -> bytes:
+    return encode_frame(
+        MSG_OK, _U8.pack(1 if flag else 0) + _U64.pack(lsn) + _U32.pack(partition))
 
 
 def decode_ok(payload: bytes) -> tuple[bool, int]:
     (lsn,) = _U64.unpack_from(payload, 1)
     return bool(payload[0]), lsn
+
+
+def ok_partition(payload: bytes) -> int:
+    """The partition a PUT or DELETE reply's LSN belongs to."""
+    (partition,) = _U32.unpack_from(payload, 9)
+    return partition
 
 
 def encode_err(code: int, message: str) -> bytes:
@@ -288,12 +310,6 @@ def append_range_result(out: bytearray, pairs: list[tuple[bytes, bytes]]) -> Non
         out += pack(len(value))
         out += value
     _LEN.pack_into(out, start, len(out) - start - 4)
-
-
-def encode_range_result(pairs: list[tuple[bytes, bytes]]) -> bytes:
-    out = bytearray()
-    append_range_result(out, pairs)
-    return bytes(out)
 
 
 def decode_range_result(payload: bytes) -> list[tuple[bytes, bytes]]:
@@ -322,12 +338,6 @@ def append_batch_result(out: bytearray, pairs: list[tuple[bytes, bytes | None]])
             out += pack(len(value))
             out += value
     _LEN.pack_into(out, start, len(out) - start - 4)
-
-
-def encode_batch_result(pairs: list[tuple[bytes, bytes | None]]) -> bytes:
-    out = bytearray()
-    append_batch_result(out, pairs)
-    return bytes(out)
 
 
 def decode_batch_result(payload: bytes) -> list[tuple[bytes, bytes | None]]:

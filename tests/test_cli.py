@@ -80,3 +80,11 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "listen" in err
         assert "Traceback" not in err
+
+    def test_segment_bytes_beyond_4_gib_exits_1_without_a_traceback(self, tmp_path, capsys):
+        conf = tmp_path / "node.conf"
+        conf.write_text(f"data_dir = {tmp_path / 'data'}\nsegment_bytes = 5000000000\n")
+        assert main(["serve", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "segment_bytes" in err
+        assert "Traceback" not in err

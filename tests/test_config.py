@@ -4,6 +4,7 @@ import pytest
 
 from logstore.config import NodeConfig, parse_config_file
 from logstore.errors import ConfigError
+from logstore.wal import MAX_SEGMENT_BYTES
 
 
 def write(tmp_path, text):
@@ -102,10 +103,17 @@ class TestValidation:
         ("cooling_fraction = much", "cooling_fraction"),
         ("cooling_fraction = 1.5", "cooling_fraction"),
         ("cooling_fraction = 0", "cooling_fraction"),
+        ("segment_bytes = 0", "segment_bytes"),
+        (f"segment_bytes = {MAX_SEGMENT_BYTES + 1}", "segment_bytes"),
+        ("segment_bytes = 5000000000", "segment_bytes"),
     ])
     def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, line, key):
         with pytest.raises(ConfigError, match=key):
             NodeConfig.load(write(tmp_path, line))
+
+    def test_segment_bytes_of_4_gib_loads(self, tmp_path):
+        cfg = NodeConfig.load(write(tmp_path, f"segment_bytes = {MAX_SEGMENT_BYTES}"))
+        assert cfg.segment_bytes == MAX_SEGMENT_BYTES
 
     def test_edge_ports_load(self, tmp_path):
         cfg = NodeConfig.load(write(tmp_path, "listen = 127.0.0.1:0\npeers = 1@h:65535"))

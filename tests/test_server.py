@@ -250,11 +250,14 @@ class TestSingleNode:
         node, c = single
         c.put(b"a", b"1")
 
-        def list_encoder(pairs):
-            raise AssertionError("result frames are appended in place")
+        real_encode_frame = wire.encode_frame
 
-        monkeypatch.setattr(wire, "encode_range_result", list_encoder)
-        monkeypatch.setattr(wire, "encode_batch_result", list_encoder)
+        def encode_frame(msg_type, payload):
+            assert msg_type not in (wire.MSG_RANGE_RESULT, wire.MSG_BATCH_RESULT), (
+                "result frames are appended in place, not copied out of a payload")
+            return real_encode_frame(msg_type, payload)
+
+        monkeypatch.setattr(wire, "encode_frame", encode_frame)
         real_fsync = os.fsync
 
         def slow_fsync(fd):  # the PUT stays unanswered while the reads are served
@@ -464,7 +467,8 @@ class TestCluster:
 
 class TestFollowerScanReadView:
     """A follower's RANGE and BATCH_GET wait for, or reject, the session's view
-    LSN in every partition they touch, as a GET does in its one partition."""
+    LSN in each partition they touch, as a GET does in its one partition.
+    LSNs count per partition, so the view is one LSN per partition."""
 
     @pytest.fixture
     def follower(self, tmp_path):
@@ -500,7 +504,7 @@ class TestFollowerScanReadView:
             self, follower):
         node, leader, keys = follower
         with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
-            s.sendall(wire.encode_range(b"k", b"l", 0, 1))
+            s.sendall(wire.encode_range(b"k", b"l", 0, {0: 1, 1: 1}))
             self.no_reply(s)
             leader.sendall(self.append(0, 1))
             self.no_reply(s)  # partition 1 is still above its commit point
@@ -512,7 +516,7 @@ class TestFollowerScanReadView:
     def test_batch_get_waits_only_for_the_partitions_of_its_keys(self, follower):
         node, leader, keys = follower
         with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
-            s.sendall(wire.encode_batch_get([keys[0]], 1))
+            s.sendall(wire.encode_batch_get([keys[0]], {0: 1, 1: 1}))
             self.no_reply(s)
             leader.sendall(self.append(0, 1))
             msg_type, payload = wire.read_frame(s)
@@ -526,21 +530,74 @@ class TestFollowerScanReadView:
         wire.read_frame(leader)  # partition 0 holds LSN 2 now; partition 1 does not
         with socket.create_connection(("127.0.0.1", node.port), timeout=5.0) as s:
             # partition 0 would block the read at LSN 2, partition 1 rejects it
-            s.sendall(wire.encode_range(b"k", b"l", 0, 2) if scan == "range"
-                      else wire.encode_batch_get([keys[0], keys[1]], 2))
+            views = {0: 2, 1: 2}
+            s.sendall(wire.encode_range(b"k", b"l", 0, views) if scan == "range"
+                      else wire.encode_batch_get([keys[0], keys[1]], views))
             msg_type, payload = wire.read_frame(s)
         assert (msg_type, wire.decode_err(payload)[0]) == (wire.MSG_ERR, wire.ERR_REJECTED)
 
-    def test_client_sends_its_last_write_lsn_with_scans(self, follower):
+    @pytest.mark.parametrize("scan", ["range", "batch_get"])
+    def test_a_view_is_gated_only_in_the_partitions_it_names(self, follower, scan):
+        """Partition 0 at LSN 3, partition 1 at LSN 1: a view of LSN 3 in
+        partition 0 serves, though partition 1 never reaches 3."""
+        node, leader, keys = follower
+        leader.sendall(self.append(0, 3, LogRecord(2, KIND_PUT, keys[0], b"w"),
+                                   LogRecord(3, KIND_PUT, keys[0], b"x")))
+        wire.read_frame(leader)
+        leader.sendall(self.append(1, 1))
+        with Client("127.0.0.1", node.port) as c:
+            if scan == "range":
+                assert c.range(b"k", b"l", views={0: 3}) == sorted(
+                    [(keys[0], b"x"), (keys[1], b"v")])
+            else:
+                assert c.batch_get([keys[0], keys[1]], views={0: 3}) == [b"x", b"v"]
+            with pytest.raises(ReadRejectedError):  # partition 1 has no LSN 3
+                getattr(c, scan)(*([b"k", b"l"] if scan == "range" else [[keys[1]]]),
+                                 views={0: 3, 1: 3})
+
+    def test_client_sends_its_view_of_each_partition_with_scans(self, follower):
         node, leader, keys = follower
         leader.sendall(self.append(0, 1) + self.append(1, 1))
         with Client("127.0.0.1", node.port) as c:
             assert c.range(b"k", b"l") == sorted((k, b"v") for k in keys.values())
-            c.last_write_lsn = 5  # as if it had written LSN 5 through the leader
+            c.views = {1: 5}  # as if it had written LSN 5 in partition 1 through the leader
             with pytest.raises(ReadRejectedError):
                 c.range(b"k", b"l")
+            assert c.batch_get([keys[0]]) == [b"v"]  # partition 0 is not in the view
             with pytest.raises(ReadRejectedError):
-                c.batch_get([keys[0]])
+                c.batch_get([keys[1]])
+
+
+class TestSessionViewPerPartition:
+    """Two nodes, two partitions: a session that wrote only partition 0 scans
+    a follower whose partition 1 is far below the session's LSNs."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        ports = [free_port() for _ in range(2)]
+        nodes = []
+        for nid in range(2):
+            cfg = NodeConfig(node_id=nid, listen=f"127.0.0.1:{ports[nid]}",
+                             peers={1 - nid: f"127.0.0.1:{ports[1 - nid]}"}, partitions=2,
+                             data_dir=str(tmp_path / f"n{nid}"), leader_node=0)
+            nodes.append(ServerNode(cfg))
+            nodes[-1].start()
+        yield ports
+        for node in nodes:
+            node.stop()
+
+    def test_follower_scans_serve_at_the_view_of_a_one_partition_writer(self, pair):
+        keys = [k for k in (b"s%03d" % i for i in range(100)) if route(k, 2) == 0][:10]
+        with Client("127.0.0.1", pair[0]) as leader:
+            for key in keys:
+                leader.put(key, b"v")
+            leader.delete(keys[0])
+            views = leader.views
+            assert (views, leader.last_write_lsn) == ({0: 11}, 11)
+        with Client("127.0.0.1", pair[1]) as follower:
+            follower.views = views
+            assert follower.range(b"s", b"t") == [(key, b"v") for key in sorted(keys[1:])]
+            assert follower.batch_get(keys[:2]) == [None, b"v"]
 
 
 class TestOneEventLoop:
@@ -572,29 +629,3 @@ class TestOneEventLoop:
     ])
     def test_guard_fails_on_a_copy_with_one_added(self, added):
         assert self.handoffs(self.SERVER.read_text() + "\n" + added + "\n")
-
-
-class TestScanRepliesInPlace:
-    """server.py appends RANGE and BATCH_GET results into its output buffers:
-    it never builds a reply with the list-encoding wrappers."""
-
-    SERVER = Path(logstore.__file__).parent / "server.py"
-    LIST_ENCODERS = {"encode_range_result", "encode_batch_result"}
-
-    @classmethod
-    def list_encoder_calls(cls, source: str) -> list[str]:
-        names = []
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call):
-                func = node.func
-                names.append(func.attr if isinstance(func, ast.Attribute)
-                             else getattr(func, "id", ""))
-        return sorted(cls.LIST_ENCODERS.intersection(names))
-
-    def test_server_calls_no_list_building_encoder(self):
-        assert self.list_encoder_calls(self.SERVER.read_text()) == []
-
-    @pytest.mark.parametrize("added", [
-        "frame = wire.encode_range_result(pairs)", "frame = encode_batch_result(pairs)"])
-    def test_guard_fails_on_a_copy_with_one_call_added(self, added):
-        assert self.list_encoder_calls(self.SERVER.read_text() + "\n" + added + "\n")

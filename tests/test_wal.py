@@ -309,7 +309,6 @@ class TestTailReplay:
         report = reopened.replay_tail(lambda r, p: None)
         assert report.torn
         assert report.last_valid_lsn == 9
-        assert report.records_read == reopened.counters.records_replayed == 9
         reopened.truncate_torn_tail(report)
         # appends continue after the torn suffix was dropped
         reopened.set_last_lsn(9)

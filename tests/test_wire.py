@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logstore import wire
+from logstore.errors import CorruptRecordError
 from logstore.wal import KIND_DELETE, KIND_PUT, LogRecord
 
 
@@ -86,27 +87,37 @@ class TestClientMessages:
     def test_ok(self):
         assert wire.decode_ok(self.roundtrip(wire.encode_ok(lsn=7, flag=False))) == (False, 7)
 
+    def test_ok_names_the_partition_of_its_lsn(self):
+        payload = self.roundtrip(wire.encode_ok(lsn=7, partition=3))
+        assert (wire.decode_ok(payload), wire.ok_partition(payload)) == ((True, 7), 3)
+
     def test_err(self):
         payload = self.roundtrip(wire.encode_err(wire.ERR_NOT_LEADER, "try node 2"))
         assert wire.decode_err(payload) == (wire.ERR_NOT_LEADER, "try node 2")
 
     def test_range_result(self):
         pairs = [(b"a", b"1"), (b"b", b"")]
-        payload = self.roundtrip(wire.encode_range_result(pairs))
+        payload = self.roundtrip(_appended(wire.append_range_result, pairs))
         assert wire.decode_range_result(payload) == pairs
 
     def test_batch_result_with_misses(self):
         pairs = [(b"a", b"1"), (b"b", None), (b"c", b"")]
-        payload = self.roundtrip(wire.encode_batch_result(pairs))
+        payload = self.roundtrip(_appended(wire.append_batch_result, pairs))
         assert wire.decode_batch_result(payload) == pairs
 
-    def test_reads_end_with_their_view_lsn(self):
-        assert wire.read_view(self.roundtrip(wire.encode_get(b"k", 12))) == 12
-        payload = self.roundtrip(wire.encode_range(b"a", b"z", 10, 34))
-        assert (wire.decode_range(payload), wire.read_view(payload)) == ((b"a", b"z", 10), 34)
-        payload = self.roundtrip(wire.encode_batch_get([b"a", b"bb"], 56))
-        assert (wire.decode_batch_get(payload), wire.read_view(payload)) == ([b"a", b"bb"], 56)
-        assert wire.read_view(self.roundtrip(wire.encode_range(b"a", b"z", 10))) == 0
+    def test_scans_end_with_a_view_lsn_per_partition(self):
+        views = {0: 34, 3: 2**64 - 1}
+        payload = self.roundtrip(wire.encode_range(b"a", b"z", 10, views))
+        assert (wire.decode_range(payload), wire.read_views(payload)) == ((b"a", b"z", 10), views)
+        payload = self.roundtrip(wire.encode_batch_get([b"a", b"bb"], {1: 56}))
+        assert (wire.decode_batch_get(payload), wire.read_views(payload)) == (
+            [b"a", b"bb"], {1: 56})
+        assert wire.read_views(self.roundtrip(wire.encode_range(b"a", b"z", 10))) == {}
+        assert wire.read_views(self.roundtrip(wire.encode_batch_get([]))) == {}
+
+    def test_view_count_beyond_its_request_is_corrupt(self):
+        with pytest.raises(CorruptRecordError):
+            wire.read_views(b"\x00\x00\x00\x00" + (9).to_bytes(4, "little"))
 
     def test_stats_result(self):
         text = "partition=0 flushed=10\npartition=1 flushed=3"
@@ -121,6 +132,12 @@ class TestClientMessages:
         assert wire.decode_put(p1) == (key, value)
         _, p2, _ = wire.decode_frame(wire.encode_get(key, lsn))
         assert wire.decode_get(p2) == (key, lsn)
+
+
+def _appended(append, pairs):
+    out = bytearray()
+    append(out, pairs)
+    return bytes(out)
 
 
 def _list_encoded(msg_type, pairs):
@@ -145,7 +162,6 @@ class TestAppendingEncoders:
         out = bytearray(before)
         wire.append_range_result(out, pairs)
         assert bytes(out) == before + _list_encoded(wire.MSG_RANGE_RESULT, pairs)
-        assert wire.encode_range_result(pairs) == _list_encoded(wire.MSG_RANGE_RESULT, pairs)
 
     @given(st.lists(st.tuples(st.binary(min_size=1, max_size=16),
                               st.none() | st.binary(max_size=300)), max_size=20),
@@ -155,7 +171,6 @@ class TestAppendingEncoders:
         out = bytearray(before)
         wire.append_batch_result(out, pairs)
         assert bytes(out) == before + _list_encoded(wire.MSG_BATCH_RESULT, pairs)
-        assert wire.encode_batch_result(pairs) == _list_encoded(wire.MSG_BATCH_RESULT, pairs)
 
     def test_frames_appended_back_to_back_decode_in_order(self):
         out = bytearray()
