@@ -5,6 +5,14 @@ touches nothing but the hit counter.  When the pool overflows, a uniformly
 random hot entry is demoted to the cooling FIFO; entries that reach the FIFO
 head without being touched are evicted, and any access to a cooling entry
 promotes it back to hot.
+
+An entry is only its key and value, held in its region's dict: the hot dict
+plus a dense list of hot keys for the uniform draw, or the cooling
+`OrderedDict`.  A key invalidated while hot keeps its slot in that list as a
+stale slot, which a draw drops; the list is rebuilt from the hot dict once
+stale slots outnumber live ones.  (A key admitted again before its stale slot
+goes holds two slots until one is drawn.)  The pool keeps no version: a
+partition's single thread admits only the index's current one.
 """
 
 from __future__ import annotations
@@ -15,22 +23,9 @@ from dataclasses import dataclass
 
 ENTRY_OVERHEAD = 64  # fixed per-entry accounting overhead, bytes
 
-REGION_HOT = "hot"
-REGION_COOLING = "cooling"
 
-
-class CacheEntry:
-    __slots__ = ("key", "value", "version_lsn", "region", "hot_idx")
-
-    def __init__(self, key: bytes, value: bytes, version_lsn: int):
-        self.key = key
-        self.value = value
-        self.version_lsn = version_lsn
-        self.region = REGION_HOT
-        self.hot_idx = -1
-
-    def size(self) -> int:
-        return len(self.key) + len(self.value) + ENTRY_OVERHEAD
+def _size(key: bytes, value: bytes) -> int:
+    return len(key) + len(value) + ENTRY_OVERHEAD
 
 
 @dataclass
@@ -53,68 +48,72 @@ class TwoStageCache:
         self.capacity_bytes = config.capacity_bytes
         self.cooling_capacity = int(config.capacity_bytes * config.cooling_fraction)
         self._rng = random.Random(seed)
-        self._entries: dict[bytes, CacheEntry] = {}
-        self._hot: list[CacheEntry] = []          # dense array, swap-remove
-        self._cooling: OrderedDict[bytes, CacheEntry] = OrderedDict()
+        self._hot: dict[bytes, bytes] = {}
+        self._hot_keys: list[bytes] = []  # draw array, swap-remove; may hold stale slots
+        self._cooling: OrderedDict[bytes, bytes] = OrderedDict()
         self.resident_bytes = 0
         self.cooling_bytes = 0
         self.hits = 0
         self.misses = 0
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self._entries
+        return key in self._hot or key in self._cooling
 
-    def get(self, key: bytes) -> tuple[bytes, int] | None:
-        entry = self._entries.get(key)
-        if entry is None:
+    def get(self, key: bytes) -> bytes | None:
+        value = self._hot.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        value = self._cooling.pop(key, None)
+        if value is None:
             self.misses += 1
             return None
+        # second chance: the access makes it hot again
         self.hits += 1
-        if entry.region == REGION_COOLING:
-            # second chance: the access makes it hot again
-            del self._cooling[key]
-            self.cooling_bytes -= entry.size()
-            self._push_hot(entry)
-        return entry.value, entry.version_lsn
+        self.cooling_bytes -= _size(key, value)
+        self._hot[key] = value
+        self._hot_keys.append(key)
+        return value
 
-    def admit(self, key: bytes, value: bytes, version_lsn: int) -> list[bytes]:
+    def admit(self, key: bytes, value: bytes, version_lsn: int = 0) -> list[bytes]:
         """Insert or refresh; returns evicted keys.
 
-        A version older than the resident one is ignored, so the cache never
-        travels backwards.  A value too large for the pool is not admitted
-        and is reported as its own eviction.
+        `version_lsn` is not kept (see the module docstring).  A value too
+        large for the pool is not admitted, drops any resident value of its
+        key, and is reported as its own eviction.
         """
-        size = len(key) + len(value) + ENTRY_OVERHEAD
+        size = _size(key, value)
         if size > self.capacity_bytes:
+            self.invalidate(key)
             return [key]
-        entry = self._entries.get(key)
-        if entry is not None:
-            if version_lsn < entry.version_lsn:
-                return []
-            self._detach(entry)
-            self.resident_bytes -= entry.size()
-            entry.value = value
-            entry.version_lsn = version_lsn
-        else:
-            entry = CacheEntry(key, value, version_lsn)
-            self._entries[key] = entry
-        self._push_hot(entry)
-        self.resident_bytes += entry.size()
+        old = self._hot.get(key)
+        if old is None:
+            old = self._cooling.pop(key, None)
+            if old is not None:
+                self.cooling_bytes -= _size(key, old)
+            self._hot_keys.append(key)
+        if old is not None:
+            self.resident_bytes -= _size(key, old)
+        self._hot[key] = value
+        self.resident_bytes += size
 
         evicted: list[bytes] = []
-        while self.resident_bytes > self.capacity_bytes and self._entries:
-            if not self._hot or self.cooling_bytes > self.cooling_capacity:
+        while self.resident_bytes > self.capacity_bytes:
+            if self.cooling_bytes > self.cooling_capacity or not self._hot:
                 evicted.append(self._evict_head())
             else:
                 self._demote_random()
         return evicted
 
     def invalidate(self, key: bytes) -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        self._detach(entry)
-        self.resident_bytes -= entry.size()
+        value = self._hot.pop(key, None)
+        if value is None:
+            value = self._cooling.pop(key, None)
+            if value is None:
+                return False
+            self.cooling_bytes -= _size(key, value)
+        self.resident_bytes -= _size(key, value)
+        self._compact_hot_keys()
         return True
 
     def stats(self) -> dict:
@@ -130,44 +129,33 @@ class TwoStageCache:
 
     # -- internals -----------------------------------------------------------
 
-    def _push_hot(self, entry: CacheEntry) -> None:
-        entry.region = REGION_HOT
-        entry.hot_idx = len(self._hot)
-        self._hot.append(entry)
-
-    def _remove_hot(self, entry: CacheEntry) -> None:
-        idx = entry.hot_idx
-        last = self._hot.pop()
-        if last is not entry:
-            self._hot[idx] = last
-            last.hot_idx = idx
-        entry.hot_idx = -1
-
-    def _detach(self, entry: CacheEntry) -> None:
-        if entry.region == REGION_HOT:
-            self._remove_hot(entry)
-        else:
-            del self._cooling[entry.key]
-            self.cooling_bytes -= entry.size()
+    def _compact_hot_keys(self) -> None:
+        if len(self._hot_keys) > 2 * len(self._hot):  # stale slots outnumber live ones
+            self._hot_keys = list(self._hot)
 
     def _demote_random(self) -> None:
-        idx = self._rng.randrange(len(self._hot))
-        entry = self._hot[idx]
-        self._remove_hot(entry)
-        entry.region = REGION_COOLING
-        self._cooling[entry.key] = entry
-        self.cooling_bytes += entry.size()
+        """Move a uniformly drawn hot entry to the cooling tail."""
+        self._compact_hot_keys()
+        keys = self._hot_keys
+        while True:
+            idx = self._rng.randrange(len(keys))
+            key = keys[idx]
+            last = keys.pop()
+            if idx < len(keys):
+                keys[idx] = last
+            value = self._hot.pop(key, None)
+            if value is not None:  # else a stale slot, now dropped
+                break
+        self._cooling[key] = value
+        self.cooling_bytes += _size(key, value)
 
     def _evict_head(self) -> bytes:
-        if self._cooling:
-            key, entry = self._cooling.popitem(last=False)
-            self.cooling_bytes -= entry.size()
-        else:
-            entry = self._hot[self._rng.randrange(len(self._hot))]
-            self._remove_hot(entry)
-            key = entry.key
-        del self._entries[key]
-        self.resident_bytes -= entry.size()
+        # only reached with a non-empty cooling region: the loop in `admit`
+        # evicts when cooling is over its share or hot is empty
+        key, value = self._cooling.popitem(last=False)
+        size = _size(key, value)
+        self.cooling_bytes -= size
+        self.resident_bytes -= size
         return key
 
 
@@ -179,7 +167,7 @@ class LruCache:
 
     def __init__(self, config: CacheConfig, seed: int = 0):
         self.capacity_bytes = config.capacity_bytes
-        self._entries: OrderedDict[bytes, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
         self.resident_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -187,45 +175,40 @@ class LruCache:
     def __contains__(self, key: bytes) -> bool:
         return key in self._entries
 
-    def get(self, key: bytes):
-        entry = self._entries.get(key)
-        if entry is None:
+    def get(self, key: bytes) -> bytes | None:
+        value = self._entries.get(key)
+        if value is None:
             self.misses += 1
             return None
         self.hits += 1
         if self._move_on_hit:
             self._entries.move_to_end(key)
-        return entry.value, entry.version_lsn
+        return value
 
-    def admit(self, key: bytes, value: bytes, version_lsn: int) -> list[bytes]:
-        size = len(key) + len(value) + ENTRY_OVERHEAD
+    def admit(self, key: bytes, value: bytes, version_lsn: int = 0) -> list[bytes]:
+        size = _size(key, value)
         if size > self.capacity_bytes:
+            self.invalidate(key)
             return [key]
-        entry = self._entries.get(key)
-        if entry is not None:
-            if version_lsn < entry.version_lsn:
-                return []
-            self.resident_bytes -= entry.size()
-            entry.value = value
-            entry.version_lsn = version_lsn
+        old = self._entries.get(key)
+        if old is not None:
+            self.resident_bytes -= _size(key, old)
             if self._move_on_hit:
                 self._entries.move_to_end(key)
-        else:
-            entry = CacheEntry(key, value, version_lsn)
-            self._entries[key] = entry
-        self.resident_bytes += entry.size()
+        self._entries[key] = value
+        self.resident_bytes += size
         evicted = []
-        while self.resident_bytes > self.capacity_bytes and self._entries:
-            k, e = self._entries.popitem(last=False)
-            self.resident_bytes -= e.size()
+        while self.resident_bytes > self.capacity_bytes:
+            k, v = self._entries.popitem(last=False)
+            self.resident_bytes -= _size(k, v)
             evicted.append(k)
         return evicted
 
     def invalidate(self, key: bytes) -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        value = self._entries.pop(key, None)
+        if value is None:
             return False
-        self.resident_bytes -= entry.size()
+        self.resident_bytes -= _size(key, value)
         return True
 
     def stats(self) -> dict:

@@ -2,8 +2,9 @@
 
 Tracks the LSNs its own writes returned and passes them along with reads, so
 a session always observes its own writes even when pointed at a follower.
-LSNs count per partition: a RANGE or BATCH_GET carries the session's last
-write LSN in each partition it wrote to, and a GET the highest of them.
+LSNs count per partition: a read carries the session's last write LSN in
+each partition it wrote to, and the server gates each partition it reads on
+that partition's LSN.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class ClientError(LogStoreError):
 class Client:
     def __init__(self, host: str, port: int, timeout: float = 15.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.last_write_lsn = 0
         self.views: dict[int, int] = {}  # partition -> the LSN of this session's last write
 
     def close(self) -> None:
@@ -60,14 +60,16 @@ class Client:
         return flag
 
     def _wrote(self, ok_payload: bytes, lsn: int) -> None:
-        self.last_write_lsn = max(self.last_write_lsn, lsn)
         pid = wire.ok_partition(ok_payload)
         self.views[pid] = max(self.views.get(pid, 0), lsn)
 
     def get(self, key: bytes, view_lsn: int | None = None) -> bytes | None:
+        """The key's value, read at `view_lsn` or else at the session's view."""
         if view_lsn is None:
-            view_lsn = self.last_write_lsn
-        _, payload = self._call(wire.encode_get(key, view_lsn))
+            frame = wire.encode_get(key, 0, self.views)
+        else:
+            frame = wire.encode_get(key, view_lsn)
+        _, payload = self._call(frame)
         return wire.decode_value(payload)
 
     def range(self, start: bytes, end: bytes, limit: int = 0,

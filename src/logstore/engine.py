@@ -167,19 +167,20 @@ class Partition:
     def get(self, key: bytes) -> bytes | None:
         cached = self.cache.get(key)
         if cached is not None:
-            return cached[0]
+            return cached
         entry = self.index.get(key)
         if entry is None:
             return None
         record = self.store.read_at(entry.position)  # exactly one IO
-        self.cache.admit(key, record.value, entry.version_lsn)
+        # under the index's key object, so the cache holds no second copy
+        self.cache.admit(entry.key, record.value, entry.version_lsn)
         return record.value
 
     def value_of(self, entry: IndexEntry) -> bytes:
         """The value an index entry points at: from the cache, else one log read."""
         cached = self.cache.get(entry.key)
         if cached is not None:
-            return cached[0]
+            return cached
         record = self.store.read_at(entry.position)
         self.cache.admit(entry.key, record.value, entry.version_lsn)
         return record.value

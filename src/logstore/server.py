@@ -418,9 +418,10 @@ class ServerNode:
         for pid in self._dirty:  # a read sees every write dispatched before it
             self._execute(pid)
         if msg_type == wire.MSG_GET:
-            key, view_lsn = wire.decode_get(payload)
+            key, view_lsn, views = wire.decode_get(payload)
             pid = route(key, self.config.partitions)
-            self._read_at_view(conn, slot, {pid: view_lsn}, self._get, pid, key)
+            self._read_at_view(conn, slot, {pid: max(view_lsn, views.get(pid, 0))},
+                               self._get, pid, key)
             return None
         if msg_type == wire.MSG_RANGE:  # every partition's part is read
             self._read_at_view(conn, slot, wire.read_views(payload),

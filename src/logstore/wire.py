@@ -7,11 +7,13 @@ length-prefixed byte strings; AppendEntries batches carry records in the log
 file framing so a follower flushes exactly the bytes it received.
 
 LSNs count per partition, so a session's read view is one LSN per partition
-it wrote to: a write's OK reply names its partition, a GET carries the view
-of its key's partition, and a RANGE or BATCH_GET ends in the whole view,
-(u32 partition, u64 LSN) pairs and then their u32 count.  The RANGE and
-BATCH_GET result encoders append their frame to a caller's `bytearray`, so a
-server writes a large reply once, into its output buffer.
+it wrote to: a write's OK reply names its partition, and a RANGE or BATCH_GET
+ends in the whole view, (u32 partition, u64 LSN) pairs and then their u32
+count.  A GET carries one view LSN for its key's partition, and may end in
+the whole view too, since a client does not know which partition a key
+routes to.  The RANGE and BATCH_GET result encoders append their frame to a
+caller's `bytearray`, so a server writes a large reply once, into its output
+buffer.
 """
 
 from __future__ import annotations
@@ -168,14 +170,16 @@ class AppendAck:
 # client requests
 # ---------------------------------------------------------------------------
 
-def encode_get(key: bytes, read_view_lsn: int = 0) -> bytes:
-    return encode_frame(MSG_GET, _pack_bytes(key) + _U64.pack(read_view_lsn))
+def encode_get(key: bytes, read_view_lsn: int = 0, views: dict[int, int] | None = None) -> bytes:
+    payload = _pack_bytes(key) + _U64.pack(read_view_lsn)
+    return encode_frame(MSG_GET, payload + _pack_views(views) if views else payload)
 
 
-def decode_get(payload: bytes) -> tuple[bytes, int]:
+def decode_get(payload: bytes) -> tuple[bytes, int, dict[int, int]]:
+    """The key, its view LSN, and the whole view when one ends the request."""
     key, offset = _unpack_bytes(payload, 0)
     (lsn,) = _U64.unpack_from(payload, offset)
-    return key, lsn
+    return key, lsn, read_views(payload) if len(payload) > offset + 8 else {}
 
 
 def encode_put(key: bytes, value: bytes) -> bytes:
@@ -203,7 +207,7 @@ def _pack_views(views: dict[int, int] | None) -> bytes:
 
 
 def read_views(payload: bytes) -> dict[int, int]:
-    """The view that ends a RANGE or BATCH_GET request: partition -> LSN."""
+    """The view that ends a RANGE, BATCH_GET or GET request: partition -> LSN."""
     end = len(payload) - 4
     (count,) = _U32.unpack_from(payload, end)
     start = end - count * _VIEW.size

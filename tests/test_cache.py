@@ -1,19 +1,14 @@
 """Two-region read cache: second-chance mechanics and hit-ratio behavior."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logstore.cache import (
-    ENTRY_OVERHEAD,
-    REGION_COOLING,
-    REGION_HOT,
-    CacheConfig,
-    FifoCache,
-    LruCache,
-    TwoStageCache,
-)
+from logstore.cache import ENTRY_OVERHEAD, CacheConfig, FifoCache, LruCache, TwoStageCache
+
+POLICIES = (TwoStageCache, LruCache, FifoCache)
 
 
 def cache_for(n_entries, key_len=4, val_len=16, cooling=0.10, seed=0):
@@ -24,11 +19,23 @@ def cache_for(n_entries, key_len=4, val_len=16, cooling=0.10, seed=0):
 VAL = b"v" * 16
 
 
+def assert_regions_consistent(cache, values):
+    """Hot and cooling are disjoint, together hold every cached key, and
+    `resident_bytes` is the sum of their entries' sizes; `values` maps each
+    key to its latest admitted value."""
+    hot, cooling = set(cache._hot), set(cache._cooling)
+    assert not hot & cooling
+    assert hot | cooling == {key for key in values if key in cache}
+    assert cache.resident_bytes == sum(
+        len(key) + len(values[key]) + ENTRY_OVERHEAD for key in hot | cooling)
+    assert cache.resident_bytes <= cache.capacity_bytes
+
+
 class TestStructure:
     def test_admit_and_get(self):
         cache = cache_for(10)
         cache.admit(b"aaaa", VAL, 1)
-        assert cache.get(b"aaaa") == (VAL, 1)
+        assert cache.get(b"aaaa") == VAL
         assert cache.get(b"bbbb") is None
         assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
 
@@ -44,11 +51,13 @@ class TestStructure:
 
     def test_overflow_demotes_then_evicts_fifo(self):
         cache = cache_for(10, cooling=0.2, seed=42)
-        for i in range(40):
-            cache.admit(b"k%03d" % i, VAL, i + 1)
+        keys = [b"k%03d" % i for i in range(40)]
+        for i, key in enumerate(keys):
+            cache.admit(key, VAL, i + 1)
         stats = cache.stats()
         assert stats["resident_bytes"] <= cache.capacity_bytes
-        assert stats["hot_count"] + stats["cooling_count"] == len(cache._entries)
+        assert stats["cooling_count"] > 0
+        assert stats["hot_count"] + stats["cooling_count"] == sum(key in cache for key in keys)
         assert cache.cooling_bytes <= cache.cooling_capacity + (4 + 16 + ENTRY_OVERHEAD)
 
     def test_cooling_hit_promotes_back_to_hot(self):
@@ -58,9 +67,12 @@ class TestStructure:
         cooling_keys = list(cache._cooling)
         assert cooling_keys, "expected demotions at overflow"
         victim = cooling_keys[0]
-        cache.get(victim)
-        assert cache._entries[victim].region == REGION_HOT
-        assert victim not in cache._cooling
+        before = cache.stats()
+        assert cache.get(victim) == VAL
+        after = cache.stats()
+        assert (after["hot_count"], after["cooling_count"]) == (
+            before["hot_count"] + 1, before["cooling_count"] - 1)
+        assert victim not in cache._cooling and victim in cache
 
     def test_eviction_takes_cooling_head_first(self):
         cache = cache_for(10, cooling=0.3, seed=7)
@@ -76,23 +88,31 @@ class TestStructure:
                     assert key == order.pop(0)
                 assert key not in cache
 
-    def test_stale_version_not_admitted(self):
-        cache = cache_for(10)
-        cache.admit(b"key1", b"new", 5)
-        cache.admit(b"key1", b"old", 3)
-        assert cache.get(b"key1") == (b"new", 5)
-
     def test_refresh_with_newer_version(self):
         cache = cache_for(10)
         cache.admit(b"key1", b"old", 1)
         cache.admit(b"key1", b"new2", 2)
-        assert cache.get(b"key1") == (b"new2", 2)
+        assert cache.get(b"key1") == b"new2"
+        assert cache.resident_bytes == 4 + 4 + ENTRY_OVERHEAD
 
     def test_oversized_value_rejected(self):
         cache = cache_for(2)
         huge = b"x" * (cache.capacity_bytes + 1)
         assert cache.admit(b"big1", huge, 1) == [b"big1"]
         assert b"big1" not in cache
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("demote", [False, True])
+    def test_oversized_admit_drops_the_resident_value(self, policy, demote):
+        cache = policy(CacheConfig(4 * (4 + 16 + ENTRY_OVERHEAD), 0.5), seed=1)
+        cache.admit(b"key1", VAL, 1)
+        for i in range(4 if demote else 0):  # pushes key1 to cooling, if the policy has one
+            cache.admit(b"k%03d" % i, VAL, i + 2)
+        assert cache.admit(b"key1", b"x" * cache.capacity_bytes, 9) == [b"key1"]
+        assert b"key1" not in cache
+        assert cache.get(b"key1") is None
+        assert cache.resident_bytes == sum(
+            4 + 16 + ENTRY_OVERHEAD for i in range(4) if b"k%03d" % i in cache)
 
     def test_invalidate(self):
         cache = cache_for(10)
@@ -121,15 +141,50 @@ class TestStructure:
     @settings(max_examples=50)
     def test_capacity_never_exceeded_property(self, ops):
         cache = cache_for(8, seed=5)
-        lsn = 0
-        for key, value in ops:
-            lsn += 1
+        values = {}
+        for lsn, (key, value) in enumerate(ops, 1):
             cache.admit(key, value, lsn)
-            assert cache.resident_bytes <= cache.capacity_bytes
-            hot = {e.key for e in cache._hot}
-            cooling = set(cache._cooling)
-            assert hot | cooling == set(cache._entries)
-            assert not (hot & cooling)
+            values[key] = value
+            assert_regions_consistent(cache, values)
+
+    def test_stale_hot_slots_are_dropped(self):
+        cache = cache_for(1000, seed=4)
+        for round_ in range(20):
+            for i in range(100):
+                cache.admit(b"k%03d" % i, VAL, round_)
+            for i in range(95):
+                cache.invalidate(b"k%03d" % i)
+            # slots of invalidated keys never outnumber the live ones for long
+            assert len(cache._hot_keys) <= 2 * len(cache._hot)
+        values = {b"k%03d" % i: VAL for i in range(100)}
+        for i in range(100, 2000):  # overflow: every draw finds a live entry
+            key = b"k%04d" % i
+            values[key] = VAL
+            cache.admit(key, VAL, 21)
+            assert_regions_consistent(cache, values)
+
+    def test_pool_structures_fit_in_entry_overhead(self):
+        """Beyond its keys and values, a pool short of eviction takes at most
+        ENTRY_OVERHEAD bytes per entry: the hot dict's slot and a slot of the
+        hot key list.  Each size is the one right after the hot dict doubles,
+        where the dict is least full.  (Past 21,845 hot entries the dict's
+        index slots widen to 4 bytes, and right after a doubling the pool
+        then takes about 69 B per entry.)"""
+        for n in (2731, 5462, 10923):
+            keys = [b"%08d" % i for i in range(n)]
+            values = [b"%0100d" % i for i in range(n)]
+            capacity = n * (8 + 100 + ENTRY_OVERHEAD)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cache = TwoStageCache(CacheConfig(capacity), seed=1)
+                for key, value in zip(keys, values):
+                    assert cache.admit(key, value, 1) == []
+                used = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert cache.resident_bytes == capacity
+            assert used / n <= ENTRY_OVERHEAD, f"{n} entries: {used / n:.1f} B each"
 
 
 class TestBaselines:
@@ -137,7 +192,7 @@ class TestBaselines:
     def test_baseline_contract(self, cls):
         cache = cls(CacheConfig(10 * (4 + 16 + ENTRY_OVERHEAD)))
         cache.admit(b"aaaa", VAL, 1)
-        assert cache.get(b"aaaa") == (VAL, 1)
+        assert cache.get(b"aaaa") == VAL
         for i in range(30):
             cache.admit(b"k%03d" % i, VAL, i + 1)
         assert cache.resident_bytes <= cache.capacity_bytes
@@ -152,6 +207,33 @@ class TestBaselines:
             cache.admit(b"knew", VAL, 9)  # force one eviction
         assert b"k000" in lru            # LRU protected it
         assert b"k000" not in fifo       # FIFO evicted by insertion order
+
+
+class TestModel:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(st.lists(st.tuples(st.sampled_from(["admit", "get", "invalidate"]),
+                              st.integers(0, 11), st.sampled_from([0, 1, 16, 700])),
+                    max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_get_returns_the_latest_admitted_value_or_a_miss(self, policy, ops):
+        cache = policy(CacheConfig(8 * (4 + 16 + ENTRY_OVERHEAD), 0.25), seed=3)
+        latest = {}
+        for step, (op, k, size) in enumerate(ops):
+            key = b"k%03d" % k
+            if op == "admit":
+                value = (b"%d:" % step).ljust(size, b"x")
+                cache.admit(key, value, step)
+                latest[key] = value
+            elif op == "invalidate":
+                cache.invalidate(key)
+                latest.pop(key, None)
+            else:
+                got = cache.get(key)
+                assert got is None or got == latest.get(key)
+                assert (got is not None) == (key in cache)
+            if policy is TwoStageCache:
+                assert_regions_consistent(cache, latest)
+            assert cache.resident_bytes <= cache.capacity_bytes
 
 
 class TestHitRatio:

@@ -81,7 +81,16 @@ class TestReadWritePath:
         p.get(b"cold")                       # read admits
         assert b"cold" in p.cache
         p.apply_put(b"cold", b"v2")          # write refreshes in place
-        assert p.cache.get(b"cold")[0] == b"v2"
+        assert p.cache.get(b"cold") == b"v2"
+        p.close()
+
+    def test_overwrite_too_large_for_the_cache_drops_the_cached_value(self, tmp_path):
+        p = Partition(0, tmp_path, cache_bytes=4096)
+        p.apply_put(b"k", b"small")
+        assert p.get(b"k") == b"small"          # now cached
+        p.apply_put(b"k", b"x" * 5000)          # larger than the whole pool
+        assert b"k" not in p.cache
+        assert p.get(b"k") == b"x" * 5000
         p.close()
 
     def test_delete_invalidates_cache(self, tmp_path):

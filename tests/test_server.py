@@ -569,7 +569,7 @@ class TestFollowerScanReadView:
 
 
 class TestSessionViewPerPartition:
-    """Two nodes, two partitions: a session that wrote only partition 0 scans
+    """Two nodes, two partitions: a session that wrote only partition 0 reads
     a follower whose partition 1 is far below the session's LSNs."""
 
     @pytest.fixture
@@ -593,11 +593,24 @@ class TestSessionViewPerPartition:
                 leader.put(key, b"v")
             leader.delete(keys[0])
             views = leader.views
-            assert (views, leader.last_write_lsn) == ({0: 11}, 11)
+            assert views == {0: 11}
         with Client("127.0.0.1", pair[1]) as follower:
             follower.views = views
             assert follower.range(b"s", b"t") == [(key, b"v") for key in sorted(keys[1:])]
             assert follower.batch_get(keys[:2]) == [None, b"v"]
+
+    def test_follower_get_is_gated_on_its_keys_partition(self, pair):
+        keys = [k for k in (b"g%03d" % i for i in range(100)) if route(k, 2) == 0][:10]
+        other = next(k for k in (b"g%03d" % i for i in range(100)) if route(k, 2) == 1)
+        with Client("127.0.0.1", pair[0]) as session:
+            for key in keys:
+                session.put(key, b"v")
+            session.sock.close()  # the same session, now on the follower
+            session.sock = socket.create_connection(("127.0.0.1", pair[1]))
+            assert session.get(other) is None       # partition 1: nothing to wait for
+            assert session.get(keys[-1]) == b"v"    # partition 0: at LSN 10
+            with pytest.raises(ReadRejectedError):  # an explicit view still gates
+                session.get(other, view_lsn=10)
 
 
 class TestOneEventLoop:

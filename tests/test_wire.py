@@ -59,7 +59,19 @@ class TestClientMessages:
         return payload
 
     def test_get(self):
-        assert wire.decode_get(self.roundtrip(wire.encode_get(b"k", 12))) == (b"k", 12)
+        assert wire.decode_get(self.roundtrip(wire.encode_get(b"k", 12))) == (b"k", 12, {})
+
+    def test_get_at_one_lsn_keeps_its_layout(self):
+        # u32 key length, key, u64 view LSN: nothing follows
+        assert wire.encode_get(b"key", 12) == (
+            (1 + 4 + 3 + 8).to_bytes(4, "little") + bytes([wire.MSG_GET])
+            + (3).to_bytes(4, "little") + b"key" + (12).to_bytes(8, "little"))
+        assert wire.encode_get(b"key", 12, {}) == wire.encode_get(b"key", 12)
+
+    def test_get_may_end_in_the_whole_view(self):
+        views = {0: 10, 1: 2**64 - 1}
+        payload = self.roundtrip(wire.encode_get(b"k", 0, views))
+        assert wire.decode_get(payload) == (b"k", 0, views)
 
     def test_put(self):
         payload = self.roundtrip(wire.encode_put(b"k", b"v" * 100))
@@ -131,7 +143,7 @@ class TestClientMessages:
         _, p1, _ = wire.decode_frame(wire.encode_put(key, value))
         assert wire.decode_put(p1) == (key, value)
         _, p2, _ = wire.decode_frame(wire.encode_get(key, lsn))
-        assert wire.decode_get(p2) == (key, lsn)
+        assert wire.decode_get(p2) == (key, lsn, {})
 
 
 def _appended(append, pairs):
