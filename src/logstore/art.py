@@ -1,16 +1,17 @@
 """Adaptive radix tree mapping key bytes to log positions.
 
-Inner nodes have two layouts, with pessimistic path compression (the full
-prefix bytes are stored on the node): a sorted list of up to 48 children and
-a 256-slot array.  ART's Node4/16/48/256 kinds remain as labels (`kind`).
-Keys that are prefixes of other keys are held in the inner node's
+Inner nodes are one class at every fan-out, with pessimistic path compression
+(the full prefix bytes are stored on the node): the child bytes ascending in
+a bytearray beside a list of the children, so a node's size follows its
+fan-out and a node never changes class as it grows or shrinks.  ART's
+Node4/16/48/256 kinds remain as labels (`kind`), worked out from the child
+count.  Keys that are prefixes of other keys are held in the inner node's
 `value_leaf` slot, which sorts before all children, so whole-tree iteration
 is plain byte order.
 
-The shape is canonical: an inner node exists exactly where keys branch, and
-its layout is a list exactly when it has at most 48 children.  That is what
-lets `snapshot_load` build the tree bottom-up from sorted entries and end
-with the same tree that inserting them one by one would give.
+The shape is canonical: an inner node exists exactly where keys branch.  That
+is what lets `snapshot_load` build the tree bottom-up from sorted entries and
+end with the same tree that inserting them one by one would give.
 
 Index entries carry a version LSN; `put` replaces an entry only when the new
 version is strictly higher, which makes recovery replay idempotent.  A leaf
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import BinaryIO, Iterator, NamedTuple
 
@@ -78,135 +79,44 @@ def _pack(position: LogPosition, version_lsn: int) -> int:
     return version_lsn << 64 | offset << 32 | segment_id
 
 
-# Both inner layouts answer the same calls, so a descent dispatches on the
-# node's own class:
-#   find(byte)          child or None
-#   set_child(byte, c)  insert or replace; returns the node, or a _Node256
-#   remove_child(byte)  returns the node, or a _ListNode
-#   pairs()             [(byte, child)] in byte order
-#   child_list()        children in byte order
-#   children_after(b)   children with a byte > b, in byte order
-#
-# `kind` is a label, the smallest of ART's Node4/16/48/256 that holds the
-# children.  In CPython every slot of Node48's 256-entry byte index is an
-# 8-byte pointer, as big as Node256's array, so the list layout serves
-# Node4, Node16 and Node48.
-
-
-class _ListNode:
-    """Up to 48 children: ascending child bytes, bisected, beside the children."""
+class _Node:
+    """An inner node at any fan-out from 1 to 256: the child bytes ascending
+    in a bytearray, found with `find` and inserted at `bisect_left`, and the
+    children beside them in a list."""
     __slots__ = ("prefix", "value_leaf", "keys", "children")
 
-    def __init__(self, prefix: bytes):
+    def __init__(self, prefix: bytes, value_leaf: _Leaf | None = None,
+                 keys: bytearray | None = None, children: list[object] | None = None):
         self.prefix = prefix
-        self.value_leaf: _Leaf | None = None
-        self.keys: list[int] = []
-        self.children: list[object] = []
-
-    @property
-    def count(self) -> int:
-        return len(self.keys)
+        self.value_leaf = value_leaf
+        self.keys = bytearray() if keys is None else keys
+        self.children = [] if children is None else children
 
     @property
     def kind(self) -> int:
+        """The smallest of ART's Node4/16/48/256 that holds the children."""
         n = len(self.keys)
-        return NODE4 if n <= NODE4 else NODE16 if n <= NODE16 else NODE48
+        return (NODE4 if n <= NODE4 else NODE16 if n <= NODE16
+                else NODE48 if n <= NODE48 else NODE256)
 
     def find(self, byte: int):
-        keys = self.keys
-        i = bisect_left(keys, byte)
-        if i < len(keys) and keys[i] == byte:
-            return self.children[i]
-        return None
+        i = self.keys.find(byte)
+        return self.children[i] if i >= 0 else None
 
-    def set_child(self, byte: int, child):
-        keys = self.keys
-        i = bisect_left(keys, byte)
-        if i < len(keys) and keys[i] == byte:
-            self.children[i] = child
-            return self
-        if len(keys) == NODE48:
-            return _resized(self, self.pairs(), (byte, child))
-        keys.insert(i, byte)
-        self.children.insert(i, child)
-        return self
-
-    def remove_child(self, byte: int):
+    def add_child(self, byte: int, child) -> None:
+        """Insert a child under a byte the node does not hold yet."""
         i = bisect_left(self.keys, byte)
+        self.keys.insert(i, byte)
+        self.children.insert(i, child)
+
+    def set_child(self, byte: int, child) -> None:
+        """Replace the child under a byte the node holds."""
+        self.children[self.keys.find(byte)] = child
+
+    def remove_child(self, byte: int) -> None:
+        i = self.keys.find(byte)
         del self.keys[i]
         del self.children[i]
-        return self
-
-    def pairs(self) -> list[tuple[int, object]]:
-        return list(zip(self.keys, self.children))
-
-    def child_list(self) -> list[object]:
-        return self.children
-
-    def children_after(self, byte: int) -> list[object]:
-        return self.children[bisect_right(self.keys, byte):]
-
-
-class _Node256:
-    __slots__ = ("prefix", "value_leaf", "children", "count")
-    kind = NODE256
-
-    def __init__(self, prefix: bytes):
-        self.prefix = prefix
-        self.value_leaf: _Leaf | None = None
-        self.children: list[object | None] = [None] * 256
-        self.count = 0
-
-    def find(self, byte: int):
-        return self.children[byte]
-
-    def set_child(self, byte: int, child):
-        if self.children[byte] is None:
-            self.count += 1
-        self.children[byte] = child
-        return self
-
-    def remove_child(self, byte: int):
-        self.children[byte] = None
-        self.count -= 1
-        if self.count <= NODE48:
-            return _resized(self, self.pairs())
-        return self
-
-    def pairs(self) -> list[tuple[int, object]]:
-        return [(byte, child) for byte, child in enumerate(self.children)
-                if child is not None]
-
-    def child_list(self) -> list[object]:
-        return [child for child in self.children if child is not None]
-
-    def children_after(self, byte: int) -> list[object]:
-        return [child for child in self.children[byte + 1:] if child is not None]
-
-
-def _make_node(prefix: bytes, value_leaf, keys: list[int], children: list[object]):
-    """The layout that holds `children` under ascending `keys`."""
-    if len(keys) <= NODE48:
-        node = _ListNode(prefix)
-        node.keys = keys
-        node.children = children
-    else:
-        node = _Node256(prefix)
-        slots = node.children
-        for byte, child in zip(keys, children):
-            slots[byte] = child
-        node.count = len(keys)
-    node.value_leaf = value_leaf
-    return node
-
-
-def _resized(node, pairs: list[tuple[int, object]], extra: tuple[int, object] | None = None):
-    """`node`'s prefix and value leaf over `pairs` (plus `extra`), in the
-    layout that holds them."""
-    if extra is not None:
-        insort(pairs, extra)
-    return _make_node(node.prefix, node.value_leaf,
-                      [b for b, _ in pairs], [c for _, c in pairs])
 
 
 def _common_prefix_len(a: bytes, b: bytes) -> int:
@@ -273,11 +183,9 @@ class AdaptiveRadixTree:
             byte = key[depth]
             child = node.find(byte)
             if child is None:
-                replacement = node.set_child(byte, _Leaf(key, packed))
-                if replacement is node:
-                    self.size += 1
-                    return None
-                break
+                node.add_child(byte, _Leaf(key, packed))
+                self.size += 1
+                return None
             parent, parent_byte, node = node, byte, child
             depth += 1
         self.size += 1
@@ -315,7 +223,7 @@ class AdaptiveRadixTree:
 
     def remove(self, key: bytes) -> IndexEntry | None:
         """Drop `key`'s entry and return it.  Walking back up the path, a node
-        left empty goes too, and one that shrank or collapsed replaces itself."""
+        left empty goes too, and one left with a single child collapses into it."""
         path: list[tuple[object, int]] = []  # (inner node, byte taken below it)
         node = self.root
         depth = 0
@@ -345,7 +253,8 @@ class AdaptiveRadixTree:
         self.size -= 1
         while new is None and path:
             old, byte = path.pop()
-            new = _collapse(old.remove_child(byte))
+            old.remove_child(byte)
+            new = _collapse(old)
         if new is not old:
             if path:
                 parent, byte = path[-1]
@@ -401,7 +310,7 @@ class AdaptiveRadixTree:
                     stack.append(node)  # its value leaf is `start` itself
                     break
                 byte = start[depth]
-                stack.extend(reversed(node.children_after(byte)))
+                stack.extend(reversed(node.children[bisect_right(node.keys, byte):]))
                 node = node.find(byte)
                 depth += 1
         pop, extend = stack.pop, stack.extend
@@ -410,7 +319,7 @@ class AdaptiveRadixTree:
             if node.__class__ is _Leaf:
                 yield node
                 continue
-            extend(reversed(node.child_list()))
+            extend(reversed(node.children))
             if node.value_leaf is not None:
                 yield node.value_leaf
 
@@ -496,7 +405,7 @@ class AdaptiveRadixTree:
             if node.__class__ is _Leaf:
                 continue
             hist[node.kind] = hist.get(node.kind, 0) + 1
-            stack.extend(node.child_list())
+            stack.extend(node.children)
         return hist
 
     def root_kind(self) -> int | None:
@@ -516,39 +425,39 @@ def _split_leaf(old: _Leaf, new: _Leaf, depth: int):
     """Replace a leaf by a node distinguishing two keys below `depth`."""
     a, b = old.key[depth:], new.key[depth:]
     common = _common_prefix_len(a, b)
-    node = _ListNode(a[:common])
+    node = _Node(a[:common])
     for leaf, rest in ((old, a), (new, b)):
         if len(rest) == common:
             node.value_leaf = leaf
         else:
-            node.set_child(rest[common], leaf)
+            node.add_child(rest[common], leaf)
     return node
 
 
 def _split_node(node, new_leaf: _Leaf, depth: int, common: int):
     """Split a compressed prefix at `common` and hang the old node below."""
     p = node.prefix
-    parent = _ListNode(p[:common])
+    parent = _Node(p[:common])
     node.prefix = p[common + 1:]
-    parent.set_child(p[common], node)
+    parent.add_child(p[common], node)
     rest = new_leaf.key[depth + common:]
     if not rest:
         parent.value_leaf = new_leaf
     else:
-        parent.set_child(rest[0], new_leaf)
+        parent.add_child(rest[0], new_leaf)
     return parent
 
 
 def _collapse(node):
     """Restore path compression after a removal."""
-    n = node.count
+    n = len(node.keys)
     if n == 0:
         return node.value_leaf  # may be None: node vanishes entirely
     if n == 1 and node.value_leaf is None:
-        byte, child = node.pairs()[0]
+        child = node.children[0]
         if child.__class__ is _Leaf:
             return child
-        child.prefix = node.prefix + bytes([byte]) + child.prefix
+        child.prefix = node.prefix + node.keys + child.prefix  # keys: the one child byte
         return child
     return node
 
@@ -600,7 +509,7 @@ def _bulk_build(data: bytes, offset: int, end: int) -> tuple[object, int]:
             else:
                 child, first, child_depth = _close_deeper(stack, common, prev_leaf, prev, -1)
                 if not stack or stack[-1][0] < common:
-                    stack.append([common, first, None, [], []])
+                    stack.append([common, first, None, bytearray(), []])
                 _attach(stack[-1], child, first, child_depth)
         prev_leaf, prev = leaf, key
     if offset != end:
@@ -620,7 +529,7 @@ def _close_deeper(stack: list[list], depth: int, child, first_key: bytes, child_
     while stack and stack[-1][0] > depth:
         top = stack.pop()
         _attach(top, child, first_key, child_depth)
-        child = _make_node(b"", top[2], top[3], top[4])
+        child = _Node(b"", top[2], top[3], top[4])
         first_key, child_depth = top[1], top[0]
     return child, first_key, child_depth
 

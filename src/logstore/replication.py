@@ -426,13 +426,6 @@ class ReplicationCore:
                     action = step
         return action
 
-    def read(self, pid: int, key: bytes, view_lsn: int) -> Any:
-        """Gated read: the value, or GATE_BLOCK / GATE_REJECT in its place."""
-        action = self.gate({pid: view_lsn})
-        if action != GATE_SERVE:
-            return action
-        return self.replicas[pid].partition.get(key)
-
     def take_over(self, pid: int, peer_flushed: dict[int, int]) -> None:
         """Promote this node's replica of `pid` to leader and ship."""
         self.replicas[pid].promote(peer_flushed)

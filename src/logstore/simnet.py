@@ -25,8 +25,8 @@ from . import wire
 from .engine import Store, route
 from .errors import ReadRejectedError
 from .replication import (
-    GATE_BLOCK,
     GATE_REJECT,
+    GATE_SERVE,
     ROLE_FOLLOWER,
     ROLE_LEADER,
     PendingOp,
@@ -278,11 +278,11 @@ class SimCluster:
         pid = route(key, len(node.store.partitions))
         deadline = self.transport.now + timeout
         while True:
-            value = node.core.read(pid, key, read_view_lsn)
-            if value is GATE_REJECT:
+            action = node.core.gate({pid: read_view_lsn})
+            if action == GATE_REJECT:
                 raise ReadRejectedError(f"view lsn {read_view_lsn} beyond log")
-            if value is not GATE_BLOCK:
-                return value
+            if action == GATE_SERVE:
+                return node.core.replicas[pid].partition.get(key)
             if self.transport.now >= deadline or not self.transport.pending():
                 raise ReadRejectedError("read gate timeout")
             self.step()

@@ -238,8 +238,8 @@ class SegmentStore:
 
     def set_last_lsn(self, lsn: int) -> None:
         """Recovery hook: establish the LSN frontier after a tail scan.  A
-        non-empty active segment holds the log's last record, and its manifest
-        entry is stale after a reopen that replays none of it."""
+        non-empty active segment holds the log's last record, and only this
+        sets its `max_lsn`: the manifest entry is stale after a reopen."""
         self._last_lsn = max(self._last_lsn, lsn)
         if self.active_meta.data_size:
             self.active_meta.max_lsn = self._last_lsn
@@ -395,7 +395,6 @@ class SegmentStore:
                 buf = f.read()
             offset = 0
             is_last = idx == len(ids) - 1
-            meta = self.segments[sid]
             while offset < len(buf):
                 try:
                     record, consumed = decode_record(buf, offset)
@@ -412,9 +411,6 @@ class SegmentStore:
                 report.records_read += 1
                 self.counters.records_replayed += 1
                 report.last_valid_lsn = max(report.last_valid_lsn, record.lsn)
-                if meta.state == STATE_ACTIVE:
-                    # re-establish in-memory stats the manifest cannot carry
-                    meta.max_lsn = max(meta.max_lsn, record.lsn)
                 offset += consumed
         return report
 

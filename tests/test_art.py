@@ -131,31 +131,23 @@ class TestAdaptivity:
         tree.put(b"aabb0000", pos(3), 3)
         assert tree.node_kinds() == {4: 2}  # prefix split at "aa"
 
-    def test_layout_changes_only_across_48_and_49_children(self):
+    def test_root_node_is_kept_from_2_to_256_children_and_back(self):
         def check(tree, n):
+            assert tree.root is root
             assert tree.root_kind() == min(k for k in (4, 16, 48, 256) if k >= n)
-            for b in range(50):
+            for b in range(256):
                 entry = tree.get(b"x" + bytes([b]))
                 assert (entry is not None) == (b < n)
                 assert entry is None or entry.version_lsn == b + 1
 
         tree = self.build(2)
         root = tree.root
-        for n in range(3, 49):
+        check(tree, 2)
+        for n in range(3, 257):
             tree.put(b"x" + bytes([n - 1]), pos(n), n)
-            assert tree.root is root  # one list node from 2 children to 48
             check(tree, n)
-        tree.put(b"x" + bytes([48]), pos(49), 49)
-        grown = tree.root
-        assert grown is not root and type(grown).__name__ == "_Node256"
-        check(tree, 49)
-        tree.remove(b"x" + bytes([48]))
-        assert tree.root is not grown and type(tree.root) is type(root)
-        check(tree, 48)
-        shrunk = tree.root
-        for n in range(47, 1, -1):
+        for n in range(255, 1, -1):
             tree.remove(b"x" + bytes([n]))
-            assert tree.root is shrunk
             check(tree, n)
 
 
@@ -232,13 +224,18 @@ class TestSnapshot:
 
     def test_roundtrip_preserves_everything(self):
         tree = self.build()
+        for b in range(256):  # a root and an inner node with 256 children each
+            tree.put(bytes([b]), pos(1000 + b), 1000 + b)
+            tree.put(b"wide" + bytes([b]), pos(2000 + b), 2000 + b)
+        assert tree.root_kind() == 256 and tree.node_kinds()[256] == 2
         buf = io.BytesIO()
         count, last_lsn = tree.snapshot_write(buf, cursor=(3, 4096))
         assert count == tree.size
         buf.seek(0)
         loaded, got_lsn, cursor = AdaptiveRadixTree.snapshot_load(buf)
         assert got_lsn == last_lsn and cursor == (3, 4096)
-        assert [e for e in loaded.items()] == [e for e in tree.items()]
+        assert list(loaded.items()) == list(tree.items())
+        assert loaded.node_kinds() == tree.node_kinds()
 
     def test_truncated_snapshot_rejected(self):
         buf = io.BytesIO()

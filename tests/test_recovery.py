@@ -278,6 +278,21 @@ class TestTornTail:
         assert recovered.get(b"resume") == b"v"
         recovered.close()
 
+    def test_reopen_from_mid_segment_cursor_sets_active_max_lsn_below_torn_tail(self, tmp_path):
+        p = Partition(0, tmp_path)
+        fill(p, 10)
+        write_checkpoint(p)  # the replay cursor sits inside the active segment
+        fill(p, 10, start=10)
+        path = p.store.segment_path(p.store.active_meta.segment_id)
+        p.close()
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 5)
+        recovered, report = recover_partition(0, tmp_path)
+        assert report.torn and report.records_read == 9
+        assert recovered.store.active_meta.max_lsn == 19
+        assert recovered.next_lsn == 20
+        recovered.close()
+
     def test_mid_log_corruption_refuses_to_recover(self, tmp_path):
         p = Partition(0, tmp_path)
         positions = [p.apply_put(b"k%02d" % i, b"payload") for i in range(20)]

@@ -497,7 +497,8 @@ class TestCoreWithoutTransport:
         assert self.wire == []               # its acks draw nothing more
         for nid in (1, 2):
             assert cores[nid].replicas[0].state.potential_commit == 2
-            assert cores[nid].read(0, b"k2", 2) == b"v2"
+            assert cores[nid].gate({0: 2}) == GATE_SERVE
+            assert cores[nid].replicas[0].partition.get(b"k2") == b"v2"
         cores[0].ship(0)                     # nothing new: no frame
         assert self.wire == []
 
@@ -539,12 +540,13 @@ class TestCoreWithoutTransport:
             send=lambda peer, frame: self.wire.append((1, peer, frame)),
             deliver=lambda pid, reply: self.replies.append(reply.token),
         )
-        assert cores[1].read(0, b"k", 1) == GATE_BLOCK
+        assert cores[1].gate({0: 1}) == GATE_BLOCK
         cores[0].link_up(1)                  # resend from its last ack, with the commit point
         assert self.links() == [(0, 1)] and self.peek(0, 1) == (3, [2, 3])
         self.pass_on(0, 1)
-        assert cores[1].read(0, b"k", 1) == b"v"
-        assert cores[1].read(0, b"k3", 3) == b"v3"
+        assert cores[1].gate({0: 3}) == GATE_SERVE
+        partition = cores[1].replicas[0].partition
+        assert partition.get(b"k") == b"v" and partition.get(b"k3") == b"v3"
         self.pass_on(1, 0)
         cores[0].link_up(2)                  # never down: nothing to resend
         assert self.wire == []
